@@ -3,6 +3,7 @@ even-lattice isometries, and intersections of Lucas V-sequences."""
 
 __version__ = "0.1.0"
 
+from .errors import InvariantError, SearchCapExceeded
 from .lucas import (IdentityReport, LucasParams, Mat2, SeqTerm,
                     check_identity_a, check_identity_b, companion_power,
                     gen_fib_a, gen_fib_b, lucas_uv)
@@ -16,8 +17,8 @@ from .k3 import (CorrespondenceRecord, K3CaseA, K3CaseB,
                  correspondence_from_pair, correspondence_from_pell_y,
                  correspondence_from_term, correspondence_roundtrip,
                  rank_of_apparition)
-from .intersection import (IntersectionResult, PellSystem, SearchCapExceeded,
-                           brute_force_common, intersect, minimal_trace_match,
+from .intersection import (IntersectionResult, PellSystem, brute_force_common,
+                           intersect, minimal_trace_match,
                            square_product_test)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

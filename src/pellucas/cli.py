@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import __version__
 from . import intersection as ix
 from . import k3, lattice as lat, lucas, oracle, pell
+from .errors import SearchCapExceeded
 
 ENV_PREFIX = "PELLUCAS_"
 
@@ -209,18 +210,28 @@ def cmd_lattice(args, rec: Record) -> int:
         rec.result["isotropic"] = lat.find_roots(lattice, 0)
         rec.result["root_minus2"] = lat.find_roots(lattice, -2)
     if args.verify and lattice.is_hyperbolic:
-        bound = min(args.bound, 1000)
-        found = None
-        for x in range(-bound, bound + 1):
-            for y in range(-bound, bound + 1):
-                if (x, y) != (0, 0) and lattice.norm(x, y) == -2:
-                    found = (x, y)
+        root = rec.result["root_minus2"]
+        if root is not None:
+            # A witness is certified by its norm v^T G v from the Gram entries;
+            # the least root can lie outside any search box.
+            gx, gy = lattice.gram.apply(*root)
+            norm = root[0] * gx + root[1] * gy
+            rec.verify = {"oracle": "gram_norm", "agrees": norm == -2,
+                          "expected": -2, "norm": norm, "bound": None}
+        else:
+            # Only a None answer needs the box search, which can refute it.
+            bound = min(args.bound, 1000)
+            found = None
+            for x in range(-bound, bound + 1):
+                for y in range(-bound, bound + 1):
+                    if (x, y) != (0, 0) and lattice.norm(x, y) == -2:
+                        found = (x, y)
+                        break
+                if found:
                     break
-            if found:
-                break
-        agrees = (found is None) == (rec.result["root_minus2"] is None)
-        rec.verify = {"oracle": "exhaustive_root_search", "agrees": agrees,
-                      "expected": found}
+            rec.verify = {"oracle": "exhaustive_root_search",
+                          "agrees": found is None, "expected": found,
+                          "bound": bound}
     return EXIT_OK
 
 
@@ -259,15 +270,7 @@ def cmd_intersect(args, rec: Record) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        result = ix.intersect(system, args.count, cap=args.cap,
-                              x_bound=args.x_bound)
-    except ix.SearchCapExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    result = ix.intersect(system, args.count, cap=args.cap, x_bound=args.x_bound)
     rec.result["verdict"] = result.verdict
     if result.minimal_pair:
         rec.result["minimal_pair"] = list(result.minimal_pair)
@@ -379,6 +382,9 @@ def main(argv=None) -> int:
                                    and v is not None})
     try:
         code = args.func(args, rec)
+    except SearchCapExceeded as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CAP
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

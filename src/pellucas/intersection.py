@@ -14,16 +14,13 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import SearchCapExceeded
 from .lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
 from .pell import isqrt_exact
 
 FLAVORS = ("plus_plus", "minus_minus", "mixed", "opposite_signs")
 
 DEFAULT_CAP = 10 ** 6
-
-
-class SearchCapExceeded(RuntimeError):
-    """The minimal trace match was not found below the configured cap."""
 
 
 @dataclass(frozen=True)

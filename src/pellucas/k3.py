@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .errors import SearchCapExceeded
 from .lattice import (IsometryAction, Lattice2, disc_group_action,
                       is_isometry, make_lattice, preserves_cone)
 from .lucas import LucasParams, Mat2, gen_fib_a, gen_fib_b, lucas_uv, m_matrix, n_matrix
@@ -34,7 +35,7 @@ def rank_of_apparition(m: int, a: int) -> int:
         if cur % m == 0:
             return n
         prev, cur = cur, (a * cur + prev) % m
-    raise RuntimeError("apparition search exceeded its pigeonhole cap")
+    raise SearchCapExceeded("apparition search exceeded its pigeonhole cap")
 
 
 def case_a_lattice(m: int, a: int) -> Lattice2:

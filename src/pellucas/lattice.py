@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Optional
 
-from .lucas import Mat2, is_square
+from .errors import InvariantError, SearchCapExceeded
+from .lucas import Mat2, is_square, mat2_product
 from .pell import PellProblem, PellSolution, fundamental_solution, isqrt_exact
 
 CYCLE_CAP = 10 ** 6
@@ -134,9 +135,11 @@ def isometry_from_pell(lattice: Lattice2, sol: PellSolution) -> IsometryAction:
         raise ValueError(f"({sol.u}, {sol.v}) does not solve u^2 - {d} v^2 = 4")
     u, v, b = sol.u, sol.v, lattice.b
     # u = bv (mod 2) holds for every genuine solution: u^2 = b^2 v^2 (mod 4).
-    assert (u - b * v) % 2 == 0, "parity violation in Pell solution"
+    if (u - b * v) % 2:
+        raise InvariantError("parity violation in Pell solution")
     g = Mat2((u - b * v) // 2, -lattice.c * v, lattice.a * v, (u + b * v) // 2)
-    assert is_isometry(lattice, g) and g.det == 1
+    if not (is_isometry(lattice, g) and g.det == 1):
+        raise InvariantError("Pell solution did not give a det-1 isometry")
     return IsometryAction(g, g.det, g.trace, preserves_cone(lattice, g),
                           disc_group_action(lattice, g))
 
@@ -148,7 +151,8 @@ def so_plus_generator(lattice: Lattice2) -> Optional[IsometryAction]:
     if is_square(lattice.pell_d):
         return None
     fund = fundamental_solution(PellProblem(lattice.pell_d, 4))
-    assert fund is not None
+    if fund is None:
+        raise InvariantError(f"u^2 - {lattice.pell_d} v^2 = 4 reported unsolvable")
     return isometry_from_pell(lattice, fund)
 
 
@@ -176,23 +180,26 @@ def _represents_minus_one_cycle(a: int, b: int, c: int, d: int
 
     Walks the reduction cycle; -1 appears as a leading coefficient of some
     form in the cycle iff it is represented (|-1| < sqrt(d)/2 for d >= 5).
+    Only the step integers t are kept; the transformation, the product of
+    the [[0, -1], [1, t]], is built once -1 has appeared, and the witness is
+    its first column.
     """
     s = isqrt(d)
-    m = Mat2.identity()
+    steps = []
     form = (a, b, c)
     first_reduced = None
     for _ in range(CYCLE_CAP):
         if form[0] == -1:
-            return m.apply(1, 0)
+            x, _, y, _ = mat2_product([(0, -1, 1, t) for t in steps])
+            return (x, y)
         if _reduced(form[0], form[1], s):
             if first_reduced is None:
                 first_reduced = form
             elif form == first_reduced:
                 return None
-        (fa, fb, fc), t = _rho(*form, s, d)
-        form = (fa, fb, fc)
-        m = m @ Mat2(0, -1, 1, t)
-    raise RuntimeError("reduction cycle exceeded the step cap")
+        form, t = _rho(*form, s, d)
+        steps.append(t)
+    raise SearchCapExceeded(f"reduction cycle exceeded the step cap of {CYCLE_CAP}")
 
 
 def _represents_minus_one_square_disc(a: int, b: int, c: int, d: int
@@ -240,7 +247,8 @@ def find_roots(lattice: Lattice2, norm_target: int) -> Optional[tuple[int, int]]
         x, y = s - b, 2 * a
         g = gcd(x, y)
         witness = (x // g, y // g) if g else (x, y)
-        assert lattice.norm(*witness) == 0
+        if lattice.norm(*witness) != 0:
+            raise InvariantError(f"isotropic witness {witness} has nonzero norm")
         return witness
     # norm -2 means a x^2 + b x y + c y^2 = -1: content must be 1.
     if lattice.k != 1:
@@ -249,6 +257,6 @@ def find_roots(lattice: Lattice2, norm_target: int) -> Optional[tuple[int, int]]
         witness = _represents_minus_one_square_disc(a, b, c, d)
     else:
         witness = _represents_minus_one_cycle(a, b, c, d)
-    if witness is not None:
-        assert lattice.norm(*witness) == -2
+    if witness is not None and lattice.norm(*witness) != -2:
+        raise InvariantError(f"root witness {witness} does not have norm -2")
     return witness

@@ -110,6 +110,30 @@ class Mat2:
         return [[self.e00, self.e01], [self.e10, self.e11]]
 
 
+def mat2_product(mats: list[tuple[int, int, int, int]]
+                 ) -> tuple[int, int, int, int]:
+    """Ordered product of 2x2 matrices given as (e00, e01, e10, e11) tuples.
+
+    Neighbours are multiplied pairwise, level by level (a balanced product
+    tree), so large factors only meet near the root and have like sizes;
+    multiplying left to right would instead pay a full-size bigint product
+    at every step.  The empty product is the identity.
+    """
+    if not mats:
+        return (1, 0, 0, 1)
+    while len(mats) > 1:
+        paired = []
+        for i in range(1, len(mats), 2):
+            a, b, c, d = mats[i - 1]
+            e, f, g, h = mats[i]
+            paired.append((a * e + b * g, a * f + b * h,
+                           c * e + d * g, c * f + d * h))
+        if len(mats) % 2:
+            paired.append(mats[-1])
+        mats = paired
+    return mats[0]
+
+
 def lucas_uv(params: LucasParams, n: int) -> SeqTerm:
     """(U_n, V_n) by the doubling scheme, O(log n) big-integer steps.
 

@@ -1,9 +1,10 @@
 """Exact solver for the Pell equations x^2 - d y^2 = +-4.
 
-The fundamental solution comes from the continued fraction of sqrt(.):
-the classical convergent scan yields the fundamental unit of Z[sqrt(n)],
-and a half-unit lift (possible only for d = 5 mod 8) recovers odd
-solutions of the +-4 form.  Everything is integer arithmetic.
+The fundamental solution is the fundamental unit of the quadratic order of
+discriminant d (or 4d), read off one period of a continued fraction whose
+walk keeps only small integers; the convergents come from a balanced
+product tree.  Odd solutions (d = 5 mod 8) come out directly.  Everything is
+integer arithmetic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-from .lucas import is_square
+from .errors import InvariantError
+from .lucas import mat2_product
+
+# Partial quotients collapsed into one small-integer leaf of the product tree.
+_LEAF = 16
 
 
 def isqrt_exact(n: int) -> Optional[int]:
@@ -62,69 +67,54 @@ def compose(d: int, s1: PellSolution, s2: PellSolution) -> PellSolution:
     """
     un = s1.u * s2.u + d * s1.v * s2.v
     vn = s1.u * s2.v + s2.u * s1.v
-    assert un % 2 == 0 and vn % 2 == 0, "half-integer composition parity broken"
+    if un % 2 or vn % 2:
+        raise InvariantError("half-integer composition parity broken")
     return PellSolution(un // 2, vn // 2, s1.sign * s2.sign // 4)
-
-
-def _cf_unit(n: int) -> tuple[int, int, int]:
-    """Fundamental solution (x, y, norm) of x^2 - n y^2 = +-1, n nonsquare > 1.
-
-    Scans the continued-fraction convergents of sqrt(n); the first convergent
-    with x^2 - n y^2 in {1, -1} is the fundamental unit of Z[sqrt(n)].
-    """
-    a0 = isqrt(n)
-    m, den, a = 0, 1, a0
-    pprev, qprev = 1, 0
-    p, q = a0, 1
-    while True:
-        norm = p * p - n * q * q
-        if norm in (1, -1):
-            return p, q, norm
-        m = den * a - m
-        den = (n - m * m) // den
-        a = (a0 + m) // den
-        pprev, p = p, a * p + pprev
-        qprev, q = q, a * q + qprev
-
-
-def _icbrt(n: int) -> int:
-    """floor of the real cube root of n >= 0."""
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
 
 
 def _fundamental_unit(d: int) -> tuple[int, int, int]:
     """Smallest (u, v, norm) with u^2 - d v^2 = 4*norm, u, v > 0; d nonsquare.
 
-    This is the fundamental unit (u + v sqrt(d))/2 of the quadratic order of
-    discriminant d when d = 0, 1 (mod 4), and the scaled unit of Z[sqrt(d)]
-    otherwise (where u and v are forced to be even).
+    This is the fundamental unit (u + v sqrt(D))/2 of the quadratic order of
+    discriminant D = d when d = 0, 1 (mod 4), and D = 4d otherwise (where u
+    and v are forced to be even).  It is read off one period of the purely
+    periodic continued fraction of w = (b + sqrt(D))/2, b the largest integer
+    below sqrt(D) with b = D (mod 2).  The complete quotients are
+    (P + sqrt(D))/Q with small integers P, Q, and the period ends when (P, Q)
+    returns to (b, 2).  For period l the product of the [[a_i, 1], [1, 0]] has
+    bottom row (q_{l-1}, q_{l-2}), and q_{l-1} w + q_{l-2} is the unit, of
+    norm (-1)^l.
     """
-    if d % 4 == 0:
-        x, y, norm = _cf_unit(d // 4)
-        return 2 * x, y, norm
-    x, y, norm = _cf_unit(d)
-    if d % 8 == 5:
-        # Odd solutions exist only for d = 5 (mod 8); if (u+v sqrt(d))/2 is a
-        # unit with u, v odd, its cube is x + y sqrt(d), so u^3 - 3*norm*u = 2x.
-        target = 2 * x
-        u0 = _icbrt(target)
-        for u in range(max(1, u0 - 2), u0 + 4):
-            if u ** 3 - 3 * norm * u == target:
-                vsq, rem = divmod(u * u - 4 * norm, d)
-                v = isqrt_exact(vsq) if rem == 0 else None
-                if v:
-                    return u, v, norm
-    return 2 * x, 2 * y, norm
+    big_d = d if d % 4 < 2 else 4 * d
+    s = isqrt(big_d)
+    b = s - (s - big_d) % 2
+    # Q_{i+1} = Q_{i-1} + a_i (P_i - P_{i+1}) follows from
+    # Q_i Q_{i+1} = D - P_{i+1}^2 and needs no division; Q_{-1} = (D - b^2)/2.
+    p, q, q_prev = b, 2, (big_d - b * b) // 2
+    quotients = []
+    while True:
+        a = (p + s) // q
+        quotients.append(a)
+        p, p_prev = a * q - p, p
+        q, q_prev = q_prev + a * (p_prev - p), q
+        if q == 2 and p == b:
+            break
+    # Only the bottom row, (0, 1) times the product, is needed: run it through
+    # the first quotients, then multiply by the tree of the remaining leaves.
+    v, w = 0, 1
+    for a in quotients[:_LEAF]:
+        v, w = a * v + w, v
+    leaves = []
+    for i in range(_LEAF, len(quotients), _LEAF):
+        e, f, g, h = 1, 0, 0, 1
+        for a in quotients[i:i + _LEAF]:
+            e, f, g, h = a * e + f, e, a * g + h, g
+        leaves.append((e, f, g, h))
+    e, f, g, h = mat2_product(leaves)
+    v, w = v * e + w * g, v * f + w * h
+    u, norm = b * v + 2 * w, (-1) ** len(quotients)
+    # (u + v sqrt(4d))/2 = (u + 2v sqrt(d))/2 when D = 4d.
+    return (u, v, norm) if big_d == d else (u, 2 * v, norm)
 
 
 def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
@@ -165,15 +155,12 @@ def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:
     if isqrt_exact(d) is not None:
         return [fund]
     out = [fund]
-    if problem.sign == 4:
-        step = fund
-    else:
-        step = fundamental_solution(PellProblem(d, 4))
-        assert step is not None
+    step = fund if problem.sign == 4 else compose(d, fund, fund)
     cur = fund
     for _ in range(count - 1):
         cur = compose(d, cur, step)
-        assert cur.check(d)
+        if not cur.check(d):
+            raise InvariantError(f"composed ({cur.u}, {cur.v}) is not a solution")
         out.append(cur)
     return out
 
@@ -205,7 +192,8 @@ def is_gen_fib_a(n: int, a: int) -> MembershipVerdict:
     if plus is None and minus is None:
         return MembershipVerdict(False)
     index = _recover_index(n, lambda k: gen_fib_a(a, k))
-    assert index is not None, "criterion passed but value not in sequence"
+    if index is None:
+        raise InvariantError("criterion passed but value not in sequence")
     if index % 2 == 0:
         return MembershipVerdict(True, index, "even", plus)
     return MembershipVerdict(True, index, "odd", minus if minus is not None else plus)
@@ -220,5 +208,6 @@ def is_gen_fib_b(n: int, b: int) -> MembershipVerdict:
     if witness is None:
         return MembershipVerdict(False)
     index = _recover_index(n, lambda k: gen_fib_b(b, k))
-    assert index is not None, "criterion passed but value not in sequence"
+    if index is None:
+        raise InvariantError("criterion passed but value not in sequence")
     return MembershipVerdict(True, index, None, witness)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pellucas import lattice
 from pellucas.cli import main
 
 
@@ -139,3 +140,24 @@ def test_verify_agreement_for_each_subcommand(capsys):
         code, doc, err = run_json(capsys, *argv, "--verify")
         assert code == 0, (argv, err)
         assert doc["verify"] is None or doc["verify"]["agrees"] is True, argv
+
+
+def test_lattice_verify_certifies_root_outside_box(capsys):
+    code, doc, err = run_json(capsys, "lattice", "--a", "-9", "--b", "7",
+                              "--c", "6", "--verify", "--bound", "200")
+    assert code == 0, err
+    assert doc["result"]["root_minus2"] == ["-12413", "24080"]
+    assert doc["verify"]["agrees"] is True
+    assert doc["verify"]["oracle"] == "gram_norm"
+    code, doc, _ = run_json(capsys, "lattice", "--a", "1", "--b", "5", "--c", "1",
+                            "--verify", "--bound", "5000")
+    assert code == 0 and doc["result"]["root_minus2"] is None
+    assert doc["verify"]["oracle"] == "exhaustive_root_search"
+    assert doc["verify"]["bound"] == "1000"
+
+
+def test_cycle_cap_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(lattice, "CYCLE_CAP", 1)
+    code, out, err = run(capsys, "lattice", "--a", "-9", "--b", "7", "--c", "6")
+    assert code == 4
+    assert "step cap" in err and "Traceback" not in err

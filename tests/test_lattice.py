@@ -127,6 +127,11 @@ def test_find_roots_examples():
     assert find_roots(make_lattice(1, 3, 0), 0) is not None  # pell_d = 9
 
 
+def test_find_roots_witness_outside_small_box():
+    # No (-2)-root has both coordinates within +-200 (see test_cli).
+    assert find_roots(make_lattice(-9, 7, 6), -2) == (-12413, 24080)
+
+
 def test_find_roots_against_exhaustive_search():
     checked = 0
     for _ in range(400):

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pellucas.errors import InvariantError
 from pellucas.lucas import is_square
 from pellucas.oracle import enumerate_pell, naive_membership
 from pellucas.pell import (PellProblem, PellSolution, compose,
@@ -120,3 +125,70 @@ def test_emitted_solutions_are_sound(d):
             continue
         for s in sols:
             assert s.u * s.u - d * s.v * s.v == sign
+
+
+def _sympy_fundamental(d, sign):
+    """Least positive (u, v) with v > 0 among sympy's class representatives."""
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    reps = [(abs(x), abs(y)) for x, y in diophantine.diop_DN(d, sign) if y]
+    return min(reps, key=lambda r: r[1], default=None)
+
+
+def _pair(sol):
+    return None if sol is None else (sol.u, sol.v)
+
+
+def test_fundamental_matches_sympy():
+    for d in range(2, 10 ** 4 + 1):
+        if is_square(d):
+            continue
+        for sign in (4, -4):
+            got = fundamental_solution(PellProblem(d, sign))
+            assert _pair(got) == _sympy_fundamental(d, sign), (d, sign)
+
+
+@given(st.integers(10 ** 6, 10 ** 8))
+@settings(max_examples=8, deadline=None)
+def test_fundamental_matches_sympy_bigint(d):
+    assume(not is_square(d))
+    for sign in (4, -4):
+        got = fundamental_solution(PellProblem(d, sign))
+        assert _pair(got) == _sympy_fundamental(d, sign), (d, sign)
+
+
+@given(st.integers(10 ** 6, 10 ** 9))
+@example(999999937)  # continued-fraction period 25817
+@settings(max_examples=25, deadline=None)
+def test_fundamental_sound_to_1e9(d):
+    """+4 unit solves its equation; the -4 answer is its square root or None.
+
+    A -4 solution (s + t sqrt(d))/2 squares to the +4 unit (u + v sqrt(d))/2
+    exactly when u - 2 = s^2 and u + 2 = d t^2.
+    """
+    assume(not is_square(d))
+    plus = fundamental_solution(PellProblem(d, 4))
+    assert plus.v > 0 and plus.u * plus.u - d * plus.v * plus.v == 4
+    s = isqrt_exact(plus.u - 2)
+    t = isqrt_exact((plus.u + 2) // d) if (plus.u + 2) % d == 0 else None
+    minus = fundamental_solution(PellProblem(d, -4))
+    if s is None or t is None:
+        assert minus is None
+    else:
+        assert _pair(minus) == (s, t) and minus.check(d)
+
+
+def test_compose_parity_error_survives_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("from pellucas.errors import InvariantError\n"
+            "from pellucas.pell import PellSolution, compose\n"
+            "assert False, 'asserts must be stripped'\n"
+            "try:\n"
+            "    compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))\n"
+            "except InvariantError:\n"
+            "    print('InvariantError')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "InvariantError"
+    with pytest.raises(InvariantError):
+        compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))
