@@ -221,14 +221,7 @@ def cmd_lattice(args, rec: Record) -> int:
         else:
             # Only a None answer needs the box search, which can refute it.
             bound = min(args.bound, 1000)
-            found = None
-            for x in range(-bound, bound + 1):
-                for y in range(-bound, bound + 1):
-                    if (x, y) != (0, 0) and lattice.norm(x, y) == -2:
-                        found = (x, y)
-                        break
-                if found:
-                    break
+            found = oracle.first_root_in_box(lattice.gram, bound)
             rec.verify = {"oracle": "exhaustive_root_search",
                           "agrees": found is None, "expected": found,
                           "bound": bound}
@@ -255,9 +248,14 @@ def cmd_k3(args, rec: Record) -> int:
     rec.result["det"] = action.det
     rec.result["disc_action"] = action.disc_action
     if args.verify:
-        expect = sum(row[i] for i, row in enumerate(rec.result["action"]))
-        rec.verify = {"oracle": "matrix_trace", "agrees": expect == trace,
-                      "expected": expect}
+        # The action recomputed as M_a^(2n) or (C^T)^(2n) by repeated
+        # multiplication; its matrix and its trace must both agree.
+        step = (lucas.n_matrix(args.b).transpose if args.b is not None
+                else lucas.m_matrix(args.a))
+        expect = oracle.naive_matrix_power(step, 2 * case.n)
+        rec.verify = {"oracle": "matrix_trace",
+                      "agrees": expect == action.g and expect.trace == trace,
+                      "expected": expect.trace}
     return EXIT_OK
 
 

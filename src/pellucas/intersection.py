@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from math import isqrt
 from typing import Optional
 
-import numpy as np
-
-from .errors import SearchCapExceeded
+from .errors import InvariantError, SearchCapExceeded
 from .lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
+from .oracle import square_rows
 from .pell import isqrt_exact
 
 FLAVORS = ("plus_plus", "minus_minus", "mixed", "opposite_signs")
@@ -158,10 +157,11 @@ def common_lucas_params(system: PellSystem, m: int, n: int) -> LucasParams:
         p = lucas_uv(LucasParams(system.p1, -1), m).v
         p_other = lucas_uv(LucasParams(system.p2, 1), n).v
         q = 1
-    assert p == p_other, "the two minimal V-terms disagree"
+    if p != p_other:
+        raise InvariantError(f"the two minimal V-terms disagree: {p} != {p_other}")
     params = LucasParams(p, q)
-    assert not is_square(params.discriminant), \
-        "common discriminant unexpectedly square"
+    if is_square(params.discriminant):
+        raise InvariantError("common discriminant unexpectedly square")
     return params
 
 
@@ -210,7 +210,8 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     for k in range(count):
         x = lucas_uv(params, k).v
         triple = _triple_for_x(system, x)
-        assert triple is not None, f"x={x} failed exact substitution"
+        if triple is None:
+            raise InvariantError(f"x={x} failed exact substitution")
         solutions.append(triple)
     return IntersectionResult("infinite_family", (m, n), params, solutions)
 
@@ -225,11 +226,13 @@ def _brute_force_small(system: PellSystem, x_bound: int) -> list[tuple[int, int,
 
 
 def _brute_force_vectorized(system: PellSystem, x_bound: int) -> list[tuple[int, int, int]]:
-    """Enumerate the sparser single equation with numpy, confirm exactly.
+    """Enumerate the sparser single equation, confirm exactly.
 
-    Candidate x-values come from perfect-square tests of d*w^2 + sign over
-    the full w-range of the equation with the larger d; every candidate is
-    re-verified against both equations in exact integer arithmetic.
+    Candidate x-values are the roots of the perfect squares d*w^2 + sign over
+    the full w-range of the equation with the larger d (``oracle.square_rows``);
+    every candidate is re-verified against both equations in exact integer
+    arithmetic.  Bounds whose rows would leave int64 raise ValueError before
+    any row is scanned.
     """
     if system.d1 >= system.d2:
         d, signs = system.d1, system.signs1
@@ -239,23 +242,13 @@ def _brute_force_vectorized(system: PellSystem, x_bound: int) -> list[tuple[int,
                               for s in system.signs2_for(s1)}))
     out = {}
     w_bound = isqrt((x_bound * x_bound + 4) // d) + 1
-    chunk = 1 << 22
-    for sign in signs:
-        for lo in range(0, w_bound + 1, chunk):
-            w = np.arange(lo, min(lo + chunk, w_bound + 1), dtype=np.int64)
-            t = d * w * w + sign
-            with np.errstate(invalid="ignore"):
-                r = np.rint(np.sqrt(np.maximum(t, 0).astype(np.float64))
-                            ).astype(np.int64)
-            near = np.flatnonzero((np.abs(r * r - t) <= 2) & (t >= 0))
-            for i in near.tolist():
-                ww = int(w[i])
-                tt = d * ww * ww + sign
-                x = isqrt(tt)
-                if x * x == tt and 2 <= x <= x_bound:
-                    triple = _triple_for_x(system, x)
-                    if triple is not None:
-                        out[x] = triple
+    # A list, so that the int64 guard of every sign runs before any scan.
+    for rows in [square_rows(d, sign, 0, w_bound) for sign in signs]:
+        for _, x in rows:
+            if 2 <= x <= x_bound:
+                triple = _triple_for_x(system, x)
+                if triple is not None:
+                    out[x] = triple
     return [out[x] for x in sorted(out)]
 
 

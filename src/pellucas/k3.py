@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import SearchCapExceeded
+from .errors import InvariantError, SearchCapExceeded
 from .lattice import (IsometryAction, Lattice2, disc_group_action,
                       is_isometry, make_lattice, preserves_cone)
 from .lucas import LucasParams, Mat2, gen_fib_a, gen_fib_b, lucas_uv, m_matrix, n_matrix
@@ -49,7 +49,8 @@ def case_b_lattice(b: int) -> Lattice2:
 
 
 def _action(lattice: Lattice2, g: Mat2) -> IsometryAction:
-    assert is_isometry(lattice, g)
+    if not is_isometry(lattice, g):
+        raise InvariantError(f"{g} is not an isometry of {lattice}")
     return IsometryAction(g, g.det, g.trace, preserves_cone(lattice, g),
                           disc_group_action(lattice, g))
 
@@ -90,10 +91,12 @@ def classify_case_a(m: int, a: int) -> K3CaseA:
     """
     n = rank_of_apparition(m, a)
     mat_a, mat_b = a_generators(a)
-    assert mat_a @ mat_b == m_matrix(a) ** 2
+    if mat_a @ mat_b != m_matrix(a) ** 2:
+        raise InvariantError(f"AB != M_a^2 for a={a}")
     g = m_matrix(a) ** (2 * n)
     action = _action(case_a_lattice(m, a), g)
-    assert action.trace == (a * a + 4) * gen_fib_a(a, n) ** 2 + (-1) ** n * 2
+    if action.trace != (a * a + 4) * gen_fib_a(a, n) ** 2 + (-1) ** n * 2:
+        raise InvariantError(f"trace formula fails for (m, a, n) = {(m, a, n)}")
     return K3CaseA(m, a, n, action, (-1) ** n)
 
 
@@ -112,8 +115,10 @@ def classify_case_b(b: int, n: int) -> K3CaseB:
     c = n_matrix(b).transpose  # [[0,-1],[1,b]]
     g = c ** (2 * n)
     action = _action(case_b_lattice(b), g)
-    assert action.trace == (b * b - 4) * gen_fib_b(b, n) ** 2 + 2
-    assert action.disc_action == "+id"
+    if action.trace != (b * b - 4) * gen_fib_b(b, n) ** 2 + 2:
+        raise InvariantError(f"trace formula fails for (b, n) = {(b, n)}")
+    if action.disc_action != "+id":
+        raise InvariantError(f"C^(2n) acts as {action.disc_action} for b={b}")
     return K3CaseB(b, n, action)
 
 
@@ -216,26 +221,30 @@ def correspondence_from_pair(flavor: str, param: int, index: int,
 def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
     """Walk every leg from the term at `index` and check mutual consistency.
 
-    Returns the record plus per-leg agreement booleans; raises if any leg
-    disagrees (which would falsify the correspondence).
+    Returns the record plus per-leg agreement booleans; raises
+    InvariantError if any leg disagrees (which would falsify the
+    correspondence).
     """
     base = correspondence_from_term(flavor, param, index)
     via_y = correspondence_from_pell_y(flavor, param, base.term)
     via_pair = correspondence_from_pair(flavor, param, via_y.index, m=via_y.m)
     # Pell leg: the (x, y) pair must solve the equation with the stated sign.
     d = base.pell_d
-    assert base.x * base.x - d * base.term * base.term == base.pell_sign
+    if base.x * base.x - d * base.term * base.term != base.pell_sign:
+        raise InvariantError(f"Pell leg fails for {base}")
     # Pair leg: trace must match the lattice action actually constructed.
     if flavor == "a":
         if base.m is not None:
             case = classify_case_a(base.m, param)
             # The apparition rank of the chosen m need not equal `index`, but
             # the trace formula must hold at `index` itself.
-        assert base.trace == (param * param + 4) * base.term ** 2 \
-            + base.omega_sign * 2
+        if base.trace != (param * param + 4) * base.term ** 2 \
+                + base.omega_sign * 2:
+            raise InvariantError(f"pair-leg trace fails for {base}")
     else:
         case = classify_case_b(param, index)
-        assert case.action.trace == base.trace
+        if case.action.trace != base.trace:
+            raise InvariantError(f"pair-leg trace fails for {base}")
     if via_pair != base:
-        raise AssertionError(f"round trip diverged: {via_pair} != {base}")
+        raise InvariantError(f"round trip diverged: {via_pair} != {base}")
     return {"record": base, "term_leg": True, "pell_leg": True, "pair_leg": True}

@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from pellucas import lattice
+from pellucas import k3, lattice
 from pellucas.cli import main
 
 
@@ -161,3 +162,29 @@ def test_cycle_cap_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, "lattice", "--a", "-9", "--b", "7", "--c", "6")
     assert code == 4
     assert "step cap" in err and "Traceback" not in err
+
+
+def test_k3_verify_recomputes_the_action(capsys, monkeypatch):
+    code, doc, _ = run_json(capsys, "k3", "--b", "5", "--n", "2", "--verify")
+    assert code == 0 and doc["verify"]["agrees"] is True
+    assert doc["verify"]["expected"] == doc["result"]["trace"] == "527"
+    monkeypatch.setenv("PELLUCAS_FAULT_INJECT", "1")
+    code, doc, err = run_json(capsys, "k3", "--b", "5", "--n", "2", "--verify")
+    assert code == 1
+    assert doc["verify"]["agrees"] is False
+    assert "DISAGREEMENT" in err
+
+
+def test_k3_verify_checks_the_matrix_not_only_its_trace(capsys, monkeypatch):
+    # A wrong action with the right trace: the transpose of C^(2n).
+    true_case = k3.classify_case_b
+
+    def transposed(b, n):
+        case = true_case(b, n)
+        return replace(case, action=replace(case.action,
+                                            g=case.action.g.transpose))
+
+    monkeypatch.setattr(k3, "classify_case_b", transposed)
+    code, doc, err = run_json(capsys, "k3", "--b", "5", "--n", "2", "--verify")
+    assert code == 1 and doc["verify"]["agrees"] is False
+    assert "DISAGREEMENT" in err

@@ -1,9 +1,19 @@
+import random
 from fractions import Fraction
+from math import isqrt
 
+import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from pellucas import oracle
+from pellucas.intersection import PellSystem, brute_force_common
 from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
-from pellucas.oracle import (enumerate_disc_group, enumerate_pell,
-                             membership_set, naive_lucas, naive_membership,
+from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, _wheel,
+                             enumerate_disc_group, enumerate_pell,
+                             first_root_in_box, membership_set, naive_lucas,
+                             naive_membership, square_rows,
                              whitney_member_mask)
 
 
@@ -50,3 +60,164 @@ def test_enumerate_disc_group_examples():
     assert inv == (2, 2) and len(reps) == 4
     assert (Fraction(1, 2), Fraction(0)) in reps or \
         (Fraction(0), Fraction(1, 2)) in reps
+
+
+# --- residue-wheel square search ----------------------------------------------
+
+def _squares_in(d, sign, lo, hi):
+    """Reference: every w in [lo, hi] with d*w^2 + sign a perfect square."""
+    out = []
+    for w in range(lo, hi + 1):
+        t = d * w * w + sign
+        if t >= 0 and isqrt(t) ** 2 == t:
+            out.append((w, isqrt(t)))
+    return out
+
+
+def _w_max(d, sign):
+    """Largest hi that square_rows accepts for (d, sign)."""
+    hi = isqrt(INT64_MAX // d)
+    while True:
+        try:
+            square_rows(d, sign, hi, hi)
+            return hi
+        except ValueError:
+            hi -= 1
+
+
+def _lucas_square(p, plus, sign, w_cap):
+    """Largest Lucas U_n <= w_cap that solves d*U_n^2 + sign = V_n^2, with
+    d = p^2 + 4 (Q = -1; sign = 4 for even n, -4 for odd n) or d = p^2 - 4
+    (Q = 1, sign = 4)."""
+    q = -1 if plus else 1
+    u0, u1, n, best = 0, 1, 0, None
+    while u0 <= w_cap:
+        if not plus or (sign == 4) == (n % 2 == 0):
+            best = u0
+        u0, u1, n = u1, p * u1 - q * u0, n + 1
+    return best
+
+
+@given(d=st.integers(2, 10 ** 9), sign=st.sampled_from((4, -4)),
+       near_top=st.booleans(), width=st.integers(0, 3000))
+@settings(max_examples=60, deadline=None)
+def test_square_rows_equal_reference(d, sign, near_top, width):
+    hi = _w_max(d, sign) if near_top else width
+    lo = max(0, hi - width)
+    want = _squares_in(d, sign, lo, hi)
+    survivors = [w for chunk in _wheel(d, sign, lo, hi) for w in chunk.tolist()]
+    assert {w for w, _ in want} <= set(survivors)
+    assert list(square_rows(d, sign, lo, hi)) == want
+
+
+@given(p=st.integers(1, 31622), plus=st.booleans(),
+       sign=st.sampled_from((4, -4)), below=st.integers(0, 10 ** 4),
+       above=st.integers(0, 3 * 10 ** 10), near_top=st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(p=1, plus=True, sign=-4, below=5, above=10, near_top=True)
+def test_wheel_keeps_known_squares(p, plus, sign, below, above, near_top):
+    # Windows as wide as the whole wheel (every modulus in use), placed at
+    # Lucas terms up to the int64 limit; only the chunks up to the known
+    # square are consumed, so the reference is that square alone.
+    assume(plus or (p >= 3 and sign == 4))
+    d = p * p + 4 if plus else p * p - 4
+    w_max = _w_max(d, sign)
+    w = _lucas_square(p, plus, sign, w_max if near_top else w_max // 10 ** 6)
+    assume(w is not None)
+    lo, hi = max(0, w - below), min(w_max, w + above)
+    seen, last = [], -1
+    for chunk in _wheel(d, sign, lo, hi):
+        values = chunk.tolist()
+        assert len(values) <= WHEEL_CHUNK
+        assert values == sorted(values) and all(lo <= v <= hi for v in values)
+        assert not values or values[0] > last
+        seen += values
+        if values:
+            last = values[-1]
+        if last >= w:
+            break
+    assert w in seen
+    rows = dict(square_rows(d, sign, lo, w))
+    assert rows[w] ** 2 == d * w * w + sign
+
+
+def test_square_rows_near_int64_limit():
+    # 5*F_45^2 - 4 = L_45^2 is the last Fibonacci square below 2^63.
+    f45, l45 = 1134903170, 2537720636
+    assert list(square_rows(5, -4, f45 - 3, f45 + 3)) == [(f45, l45)]
+
+
+def test_int64_guard_raises_before_scanning(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("rows scanned before the int64 guard")
+
+    monkeypatch.setattr(oracle, "_wheel", no_scan)
+    # minus_minus(4, 14) has x = 19726764302, z = 1423656585 (d2 = 192);
+    # 192*z^2 + 4 is 3.9e20, which int64 would wrap.
+    z = 1423656585
+    with pytest.raises(ValueError, match="int64"):
+        square_rows(192, 4, z - 10, z + 10)
+    with pytest.raises(ValueError, match="int64"):
+        brute_force_common(PellSystem("minus_minus", 4, 14), 2 * 10 ** 10)
+    with pytest.raises(ValueError, match="int64"):
+        enumerate_pell(5, 4, 2 * 10 ** 9)
+    with pytest.raises(ValueError, match="int64"):
+        whitney_member_mask(5, -4, 2 * 10 ** 9)
+
+
+# --- discriminant group -------------------------------------------------------
+
+def _cosets_by_all_pairs(lattice):
+    """Reference: reduce i*c1 + j*c2 mod Z^2 for all order^2 pairs (i, j)."""
+    q = lattice.gram
+    det, adj = q.det, q.adjugate
+    order, unit = abs(det), 1 if det > 0 else -1
+    pairs = {(unit * (adj.e00 * i + adj.e01 * j) % order,
+              unit * (adj.e10 * i + adj.e11 * j) % order)
+             for i in range(order) for j in range(order)}
+    return {(Fraction(x, order), Fraction(y, order)) for x, y in pairs}
+
+
+def test_disc_group_matches_all_pairs():
+    rng = random.Random(2024)
+    forms = [(1, 4, 1), (1, 0, -1), (1, 1, 1), (5, 0, -5), (-7, 0, 7),
+             (0, 10, 0), (3, 6, -5)]
+    while len(forms) < 60:
+        a, b, c = (rng.randint(-12, 12) for _ in range(3))
+        if 0 < abs(4 * a * c - b * b) <= 200:
+            forms.append((a, b, c))
+    for a, b, c in forms:
+        lattice = make_lattice(a, b, c)
+        inv, reps = enumerate_disc_group(lattice)
+        assert len(reps) == abs(lattice.disc) == inv[0] * inv[1]
+        assert all(0 <= x < 1 and 0 <= y < 1 for x, y in reps)
+        assert set(reps) == _cosets_by_all_pairs(lattice), (a, b, c)
+
+
+# --- lattice --verify root search -----------------------------------------------
+
+def _first_root_by_scan(gram, bound):
+    """Reference: the 2-D box scan, x ascending, then y ascending."""
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            gx, gy = gram.apply(x, y)
+            if (x, y) != (0, 0) and x * gx + y * gy == -2:
+                return x, y
+    return None
+
+
+def test_first_root_in_box_matches_scan():
+    rng = random.Random(77)
+    forms = [(a, b, 0) for a in range(-4, 5) for b in (-3, -1, 2, 5)]
+    forms += [(rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(-9, 9))
+              for _ in range(400)]
+    hits = 0
+    for i, (a, b, c) in enumerate(forms):
+        if b * b == 4 * a * c:
+            continue
+        gram = make_lattice(a, b, c).gram
+        for bound in ((5, 20, 60) if i % 10 == 0 else (5, 20)):
+            want = _first_root_by_scan(gram, bound)
+            assert first_root_in_box(gram, bound) == want, (a, b, c, bound)
+            hits += want is not None
+    assert hits > 200
