@@ -62,10 +62,6 @@ def _jsonable(obj):
     return obj
 
 
-def _fault_injected() -> bool:
-    return os.environ.get(ENV_PREFIX + "FAULT_INJECT", "") not in ("", "0")
-
-
 class Record:
     """Output record accumulated by each subcommand."""
 
@@ -118,8 +114,6 @@ def cmd_lucas(args, rec: Record) -> int:
         rec.result["u"] = [t.u for t in terms]
         rec.result["v"] = [t.v for t in terms]
         rec.result["discriminant"] = params.discriminant
-    if _fault_injected() and rec.result.get("terms"):
-        rec.result["terms"][-1] += 1
     if args.verify:
         if args.a is not None:
             expect = [oracle.naive_lucas(lucas.LucasParams(args.a, -1), n).u
@@ -150,18 +144,16 @@ def cmd_pell(args, rec: Record) -> int:
     rec.result["solvable"] = True
     rec.result["fundamental"] = {"u": fund.u, "v": fund.v}
     sols = pell.solutions_iter(problem, args.count)
-    if _fault_injected():
-        sols = [pell.PellSolution(s.u + 2, s.v, s.sign) for s in sols]
     rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
-        v_max = max(s.v for s in sols)
+        bound = min(max(s.v for s in sols), args.bound)
         expect = [(s.u, s.v) for s in
-                  oracle.enumerate_pell(args.d, args.sign, min(v_max, args.bound))]
+                  oracle.enumerate_pell(args.d, args.sign, bound)]
         if args.sign == 4 and (2, 0) in expect:
             expect.remove((2, 0))
-        got = [(s.u, s.v) for s in sols if s.v <= min(v_max, args.bound)]
+        got = [(s.u, s.v) for s in sols if s.v <= bound]
         rec.verify = {"oracle": "enumerate_pell", "agrees": got == expect,
-                      "expected": expect}
+                      "expected": expect, "bound": bound}
     return EXIT_OK
 
 
@@ -172,8 +164,6 @@ def cmd_member(args, rec: Record) -> int:
     else:
         verdict = pell.is_gen_fib_b(args.value, args.b)
         flavor, param = "b", args.b
-    if _fault_injected():
-        verdict = pell.MembershipVerdict(not verdict.is_member)
     rec.result["is_member"] = verdict.is_member
     if verdict.is_member:
         rec.result["index"] = verdict.index
@@ -242,9 +232,8 @@ def cmd_k3(args, rec: Record) -> int:
         rec.result["symplectic"] = case.symplectic
         rec.result["omega_sign"] = case.omega_sign
         action = case.action
-    trace = action.trace + (2 if _fault_injected() else 0)
     rec.result["action"] = action.g.rows()
-    rec.result["trace"] = trace
+    rec.result["trace"] = action.trace
     rec.result["det"] = action.det
     rec.result["disc_action"] = action.disc_action
     if args.verify:
@@ -254,7 +243,8 @@ def cmd_k3(args, rec: Record) -> int:
                 else lucas.m_matrix(args.a))
         expect = oracle.naive_matrix_power(step, 2 * case.n)
         rec.verify = {"oracle": "matrix_trace",
-                      "agrees": expect == action.g and expect.trace == trace,
+                      "agrees": (expect == action.g
+                                 and expect.trace == action.trace),
                       "expected": expect.trace}
     return EXIT_OK
 
@@ -275,18 +265,14 @@ def cmd_intersect(args, rec: Record) -> int:
     if result.common_params:
         rec.result["common_params"] = {"p": result.common_params.p,
                                        "q": result.common_params.q}
-    solutions = list(result.solutions)
-    if _fault_injected() and solutions:
-        x, y, z = solutions[-1]
-        solutions[-1] = (x + 1, y, z)
-    rec.result["solutions"] = [list(t) for t in solutions]
+    rec.result["solutions"] = [list(t) for t in result.solutions]
     if args.verify:
-        top = max((s[0] for s in solutions), default=2)
-        expect = [list(t) for t in
-                  ix.brute_force_common(system, min(top, args.bound))]
-        got = [list(t) for t in solutions if t[0] <= min(top, args.bound)]
+        top = max((s[0] for s in result.solutions), default=2)
+        bound = min(top, args.bound)
+        expect = [list(t) for t in ix.brute_force_common(system, bound)]
+        got = [list(t) for t in result.solutions if t[0] <= bound]
         rec.verify = {"oracle": "brute_force_common", "agrees": got == expect,
-                      "expected": expect}
+                      "expected": expect, "bound": bound}
     return EXIT_OK
 
 

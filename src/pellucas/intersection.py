@@ -216,17 +216,8 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     return IntersectionResult("infinite_family", (m, n), params, solutions)
 
 
-def _brute_force_small(system: PellSystem, x_bound: int) -> list[tuple[int, int, int]]:
-    out = []
-    for x in range(2, x_bound + 1):
-        triple = _triple_for_x(system, x)
-        if triple is not None:
-            out.append(triple)
-    return out
-
-
-def _brute_force_vectorized(system: PellSystem, x_bound: int) -> list[tuple[int, int, int]]:
-    """Enumerate the sparser single equation, confirm exactly.
+def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int, int]]:
+    """All solutions (x, y, z) with 2 <= x <= x_bound, by direct search.
 
     Candidate x-values are the roots of the perfect squares d*w^2 + sign over
     the full w-range of the equation with the larger d (``oracle.square_rows``);
@@ -234,6 +225,8 @@ def _brute_force_vectorized(system: PellSystem, x_bound: int) -> list[tuple[int,
     arithmetic.  Bounds whose rows would leave int64 raise ValueError before
     any row is scanned.
     """
+    if x_bound < 2:
+        raise ValueError("x_bound must be >= 2")
     if system.d1 >= system.d2:
         d, signs = system.d1, system.signs1
     else:
@@ -241,7 +234,8 @@ def _brute_force_vectorized(system: PellSystem, x_bound: int) -> list[tuple[int,
         signs = tuple(sorted({s for s1 in system.signs1
                               for s in system.signs2_for(s1)}))
     out = {}
-    w_bound = isqrt((x_bound * x_bound + 4) // d) + 1
+    # d*w^2 = x^2 - sign <= x_bound^2 + 4 is the whole range.
+    w_bound = isqrt((x_bound * x_bound + 4) // d)
     # A list, so that the int64 guard of every sign runs before any scan.
     for rows in [square_rows(d, sign, 0, w_bound) for sign in signs]:
         for _, x in rows:
@@ -250,16 +244,3 @@ def _brute_force_vectorized(system: PellSystem, x_bound: int) -> list[tuple[int,
                 if triple is not None:
                     out[x] = triple
     return [out[x] for x in sorted(out)]
-
-
-def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int, int]]:
-    """All solutions (x, y, z) with 2 <= x <= x_bound, by direct search.
-
-    Small bounds walk every x; large bounds switch to the vectorized
-    equation-level enumeration (same answers, still exact).
-    """
-    if x_bound < 2:
-        raise ValueError("x_bound must be >= 2")
-    if x_bound <= 200_000:
-        return _brute_force_small(system, x_bound)
-    return _brute_force_vectorized(system, x_bound)

@@ -234,10 +234,9 @@ def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
         raise InvariantError(f"Pell leg fails for {base}")
     # Pair leg: trace must match the lattice action actually constructed.
     if flavor == "a":
-        if base.m is not None:
-            case = classify_case_a(base.m, param)
-            # The apparition rank of the chosen m need not equal `index`, but
-            # the trace formula must hold at `index` itself.
+        # m | a_index iff the apparition rank of m divides index (Q = -1).
+        if base.m is not None and index % classify_case_a(base.m, param).n:
+            raise InvariantError(f"apparition rank of m does not divide {index}")
         if base.trace != (param * param + 4) * base.term ** 2 \
                 + base.omega_sign * 2:
             raise InvariantError(f"pair-leg trace fails for {base}")

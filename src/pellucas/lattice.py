@@ -3,7 +3,7 @@ discriminant-group actions, and (0)/(-2)-element detection.
 
 The (-2) search uses the reduction cycle of the indefinite binary form
 a x^2 + b x y + c y^2 (square discriminants are handled by factoring the
-form); the exhaustive-search oracle lives in the test suite.
+form); the exhaustive-search oracle is ``oracle.first_root_in_box``.
 """
 
 from __future__ import annotations
@@ -83,20 +83,21 @@ def is_isometry(lattice: Lattice2, g: Mat2) -> bool:
 
 
 def positive_norm_vector(lattice: Lattice2) -> tuple[int, int]:
-    """Some vector of positive self-pairing; exists in signature (1,1)."""
-    if lattice.a > 0:
+    """A vector of positive self-pairing, in closed form.
+
+    (1, 0) or (0, 1) when a or c is positive.  Otherwise one exists only in
+    signature (1,1), b^2 - 4ac > 0: for a < 0, (b, -2a) has norm
+    -2a(b^2 - 4ac); for a = 0 (so b != 0), (b(1 - c), 1) has norm
+    2(b^2 (1 - c) + c) >= 2.
+    """
+    a, b, c = lattice.a, lattice.b, lattice.c
+    if a > 0:
         return (1, 0)
-    if lattice.c > 0:
+    if c > 0:
         return (0, 1)
-    bound = 1
-    while bound < 10 ** 6:
-        for x in range(-bound, bound + 1):
-            for y in (-bound, bound):
-                for v in ((x, y), (y, x)):
-                    if lattice.norm(*v) > 0:
-                        return v
-        bound *= 2
-    raise AssertionError("no positive-norm vector found")
+    if not lattice.is_hyperbolic:
+        raise ValueError("a negative definite lattice has no positive-norm vector")
+    return (b, -2 * a) if a < 0 else (b * (1 - c), 1)
 
 
 def preserves_cone(lattice: Lattice2, g: Mat2) -> bool:

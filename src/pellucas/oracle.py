@@ -77,7 +77,7 @@ def square_rows(d: int, sign: int, lo: int,
     Raises ValueError at once when d*w^2 + sign or the square of its rounded
     root could leave int64, where numpy would wrap silently.
     """
-    top = d * max(hi, 1) ** 2 + max(sign, 0)
+    top = d * hi ** 2 + max(sign, 0)
     if top > INT64_MAX or (isqrt(top) + 1) ** 2 > INT64_MAX:
         raise ValueError(f"d*w^2 + sign for d={d}, w <= {hi} exceeds int64")
     return _confirmed_rows(d, sign, lo, hi)
@@ -86,8 +86,10 @@ def square_rows(d: int, sign: int, lo: int,
 def _confirmed_rows(d: int, sign: int, lo: int,
                     hi: int) -> Iterator[tuple[int, int]]:
     import numpy as np
+    # The guard lets d itself exceed int64 only when hi = 0, where d*w^2 = 0.
+    d64 = min(d, INT64_MAX)
     for w in _wheel(d, sign, lo, hi):
-        t = d * w * w + sign
+        t = d64 * w * w + sign
         r = np.rint(np.sqrt(np.maximum(t, 0).astype(np.float64))).astype(np.int64)
         for ww in w[(np.abs(r * r - t) <= 2) & (t >= 0)].tolist():
             tt = d * ww * ww + sign

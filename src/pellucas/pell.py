@@ -10,11 +10,11 @@ integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import isqrt, log
 from typing import Optional
 
 from .errors import InvariantError
-from .lucas import mat2_product
+from .lucas import LucasParams, SeqTerm, lucas_uv, mat2_product
 
 # Partial quotients collapsed into one small-integer leaf of the product tree.
 _LEAF = 16
@@ -165,49 +165,49 @@ def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:
     return out
 
 
-def _recover_index(value: int, seq) -> Optional[int]:
-    """Smallest k >= 1 with seq(k) == value, scanning until terms pass value."""
-    k = 1
-    while True:
-        t = seq(k)
-        if t == value:
-            return k
-        if t > value:
-            return None
-        k += 1
+def _witness_index(params: LucasParams, n: int, witness: int) -> int:
+    """The k >= 1 with (U_k, V_k) = (n, witness), for a witness known to solve
+    the Pell equation of the sequence.
+
+    V_k = alpha^k + beta^k with |beta| = 1/alpha, so log(witness)/log(alpha)
+    is k to within one; at most three lucas_uv calls confirm it.  alpha =
+    (p + sqrt(D))/2 carries 64 extra bits, so its log is good to double
+    precision at any size of p.
+    """
+    log_alpha = log((params.p << 64) + isqrt(params.discriminant << 128)) \
+        - 65 * log(2)
+    k = round(log(witness) / log_alpha)
+    for j in (k, k - 1, k + 1):
+        if j >= 1 and lucas_uv(params, j) == SeqTerm(j, n, witness):
+            return j
+    raise InvariantError("criterion passed but value not in sequence")
 
 
 def is_gen_fib_a(n: int, a: int) -> MembershipVerdict:
     """Membership of n in {a_k}: (a^2+4)n^2 + 4 or - 4 must be a square.
 
-    The +4 branch corresponds to even k, the -4 branch to odd k.  When both
-    branches succeed (n = 1, a = 1) the parity of the smallest index wins.
+    The square root is V_k; the +4 branch corresponds to even k, the -4
+    branch to odd k.  Both succeed only for n = 1, a = 1, where the -4 branch
+    gives the smallest index, 1.
     """
     if n < 1 or a < 1:
         raise ValueError("n and a must be >= 1")
-    from .lucas import gen_fib_a
     d = a * a + 4
-    plus = isqrt_exact(d * n * n + 4)
-    minus = isqrt_exact(d * n * n - 4)
-    if plus is None and minus is None:
-        return MembershipVerdict(False)
-    index = _recover_index(n, lambda k: gen_fib_a(a, k))
-    if index is None:
-        raise InvariantError("criterion passed but value not in sequence")
-    if index % 2 == 0:
-        return MembershipVerdict(True, index, "even", plus)
-    return MembershipVerdict(True, index, "odd", minus if minus is not None else plus)
+    witness = isqrt_exact(d * n * n - 4)
+    if witness is None:
+        witness = isqrt_exact(d * n * n + 4)
+        if witness is None:
+            return MembershipVerdict(False)
+    index = _witness_index(LucasParams(a, -1), n, witness)
+    return MembershipVerdict(True, index, "odd" if index % 2 else "even", witness)
 
 
 def is_gen_fib_b(n: int, b: int) -> MembershipVerdict:
-    """Membership of n in {b_k}: (b^2-4)n^2 + 4 must be a square."""
+    """Membership of n in {b_k}: (b^2-4)n^2 + 4 must be a square, V_k^2."""
     if n < 1 or b < 4:
         raise ValueError("need n >= 1 and b >= 4")
-    from .lucas import gen_fib_b
     witness = isqrt_exact((b * b - 4) * n * n + 4)
     if witness is None:
         return MembershipVerdict(False)
-    index = _recover_index(n, lambda k: gen_fib_b(b, k))
-    if index is None:
-        raise InvariantError("criterion passed but value not in sequence")
-    return MembershipVerdict(True, index, None, witness)
+    return MembershipVerdict(True, _witness_index(LucasParams(b, 1), n, witness),
+                             None, witness)

@@ -11,6 +11,7 @@ import random
 import numpy as np
 import pytest
 
+from pellucas import pell
 from pellucas.cli import main as cli_main
 from pellucas.intersection import (PellSystem, brute_force_common, intersect,
                                    square_product_test)
@@ -21,8 +22,9 @@ from pellucas.lucas import (LucasParams, gen_fib_a, gen_fib_b, is_square,
                             lucas_uv, m_matrix, n_matrix)
 from pellucas.oracle import (disc_action_direct, enumerate_pell,
                              whitney_member_mask)
-from pellucas.pell import (PellProblem, compose, fundamental_solution,
-                           is_gen_fib_a, is_gen_fib_b, solutions_iter)
+from pellucas.pell import (MembershipVerdict, PellProblem, compose,
+                           fundamental_solution, is_gen_fib_a, is_gen_fib_b,
+                           solutions_iter)
 
 rng = random.Random(0xACCE97)
 
@@ -354,11 +356,13 @@ def test_10_cli_contract(capsys, monkeypatch):
     code, doc, _ = run("member", "--value", "8", "--a", "1", "--verify")
     if code != 0 or doc["verify"]["agrees"] is not True:
         problems.append("verify agreement")
-    monkeypatch.setenv("PELLUCAS_FAULT_INJECT", "1")
-    code, doc, err = run("member", "--value", "8", "--a", "1", "--verify")
+    # A fast path with a flipped verdict must be caught by the oracle.
+    with monkeypatch.context() as patch:
+        patch.setattr(pell, "is_gen_fib_a",
+                      lambda n, a: MembershipVerdict(not is_gen_fib_a(n, a).is_member))
+        code, doc, err = run("member", "--value", "8", "--a", "1", "--verify")
     if code != 1 or doc["verify"]["agrees"] is not False \
             or "DISAGREEMENT" not in err:
         problems.append("fault injection")
-    monkeypatch.delenv("PELLUCAS_FAULT_INJECT")
     _verdict(capsys, 10, "CLI golden outputs, exit codes, verify fault path",
              not problems, f"{problems}")

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from pellucas import k3, lattice
+from pellucas import k3, lattice, pell
 from pellucas.cli import main
 
 
@@ -115,12 +115,40 @@ def test_verify_ok_and_fault_injection(capsys, monkeypatch):
                             "--verify")
     assert code == 0 and doc["verify"]["agrees"] is True
 
-    monkeypatch.setenv("PELLUCAS_FAULT_INJECT", "1")
+    # A fast path with a flipped verdict must be caught by the oracle.
+    true_verdict = pell.is_gen_fib_a
+    monkeypatch.setattr(pell, "is_gen_fib_a", lambda n, a: pell.MembershipVerdict(
+        not true_verdict(n, a).is_member))
     code, doc, err = run_json(capsys, "member", "--value", "8", "--a", "1",
                               "--verify")
     assert code == 1
     assert doc["verify"]["agrees"] is False
     assert "DISAGREEMENT" in err
+
+
+def test_pell_verify_reports_its_bound(capsys):
+    # The solutions (11, 3), (119, 33), (1298, 360) reach v = 360.
+    code, doc, _ = run_json(capsys, "pell", "--d", "13", "--count", "3",
+                            "--verify", "--bound", "10")
+    assert code == 0 and doc["verify"]["agrees"] is True
+    assert doc["verify"]["bound"] == "10"
+    assert doc["verify"]["expected"] == [["11", "3"]]
+    code, doc, _ = run_json(capsys, "pell", "--d", "13", "--count", "3",
+                            "--verify")
+    assert doc["verify"]["bound"] == "360"
+
+
+def test_intersect_verify_reports_its_bound(capsys):
+    # The solutions reach x = 194, above --bound 20.
+    code, doc, _ = run_json(capsys, "intersect", "--flavor", "mm", "--p1", "4",
+                            "--p2", "14", "--count", "3", "--verify",
+                            "--bound", "20")
+    assert code == 0 and doc["verify"]["agrees"] is True
+    assert doc["verify"]["bound"] == "20"
+    assert doc["verify"]["expected"] == [["2", "0", "0"], ["14", "4", "1"]]
+    code, doc, _ = run_json(capsys, "intersect", "--flavor", "mm", "--p1", "4",
+                            "--p2", "14", "--count", "3", "--verify")
+    assert doc["verify"]["bound"] == "194"
 
 
 def test_env_override_format(capsys, monkeypatch):
@@ -168,7 +196,15 @@ def test_k3_verify_recomputes_the_action(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, "k3", "--b", "5", "--n", "2", "--verify")
     assert code == 0 and doc["verify"]["agrees"] is True
     assert doc["verify"]["expected"] == doc["result"]["trace"] == "527"
-    monkeypatch.setenv("PELLUCAS_FAULT_INJECT", "1")
+    # A fast path whose action reports a trace off by 2.
+    true_case = k3.classify_case_b
+
+    def off_by_two(b, n):
+        case = true_case(b, n)
+        return replace(case, action=replace(case.action,
+                                            trace=case.action.trace + 2))
+
+    monkeypatch.setattr(k3, "classify_case_b", off_by_two)
     code, doc, err = run_json(capsys, "k3", "--b", "5", "--n", "2", "--verify")
     assert code == 1
     assert doc["verify"]["agrees"] is False

@@ -1,9 +1,9 @@
 import pytest
 
 from pellucas.intersection import (PellSystem, SearchCapExceeded,
-                                   brute_force_common, common_lucas_params,
-                                   intersect, minimal_trace_match,
-                                   square_product_test)
+                                   _triple_for_x, brute_force_common,
+                                   common_lucas_params, intersect,
+                                   minimal_trace_match, square_product_test)
 from pellucas.lucas import LucasParams, is_square, lucas_uv
 
 
@@ -49,15 +49,29 @@ def test_brute_force_examples():
         [(2, 0, 0), (14, 4, 1), (194, 56, 14)]
 
 
+def _walk(system, x_bound):
+    """Reference: every x in [2, x_bound] substituted into both equations."""
+    triples = (_triple_for_x(system, x) for x in range(2, x_bound + 1))
+    return [t for t in triples if t is not None]
+
+
 def test_brute_force_paths_agree():
-    # same system through the scalar and the vectorized enumeration
-    from pellucas.intersection import _brute_force_small, _brute_force_vectorized
+    # the residue-wheel search against the walk over every x
     for system in (PellSystem("plus_plus", 1, 4),
                    PellSystem("minus_minus", 4, 14),
                    PellSystem("mixed", 1, 7),
                    PellSystem("opposite_signs", 1, 3)):
-        assert _brute_force_small(system, 150_000) == \
-            _brute_force_vectorized(system, 150_000)
+        assert brute_force_common(system, 150_000) == _walk(system, 150_000)
+
+
+def test_brute_force_huge_p_small_bound():
+    # d exceeds int64 while no w >= 1 is in range: only the row w = 0 is left.
+    p = 10 ** 10
+    for x_bound in (2, 3, 1000):
+        for flavor, want in (("plus_plus", [(2, 0, 0)]), ("opposite_signs", [])):
+            system = PellSystem(flavor, p, p + 1)
+            assert brute_force_common(system, x_bound) == want
+            assert _walk(system, x_bound) == want
 
 
 def test_solutions_substitute_exactly():

@@ -1,5 +1,7 @@
 import pytest
 
+from pellucas import k3
+from pellucas.errors import InvariantError
 from pellucas.k3 import (NotInCorrespondenceError, a_generators, case_a_lattice,
                          case_b_lattice, classify_case_a, classify_case_b,
                          correspondence_from_pair, correspondence_from_pell_y,
@@ -106,3 +108,11 @@ def test_roundtrip_small_grid():
 def test_lattices():
     assert case_a_lattice(2, 1).gram == Mat2(4, 2, 2, -4)
     assert case_b_lattice(5).gram == Mat2(2, 5, 5, 2)
+
+
+def test_roundtrip_pair_leg_checks_the_apparition_rank(monkeypatch):
+    # a_12 = 144 for a = 1, so m = 2, whose apparition rank 3 divides 12.
+    assert correspondence_roundtrip("a", 1, 12)["record"].m == 2
+    monkeypatch.setattr(k3, "rank_of_apparition", lambda m, a: 5)
+    with pytest.raises(InvariantError):
+        correspondence_roundtrip("a", 1, 12)

@@ -4,6 +4,7 @@ import pytest
 
 from pellucas.lattice import (Lattice2, disc_group_action, find_roots,
                               is_isometry, isometry_from_pell, make_lattice,
+                              positive_norm_vector, preserves_cone,
                               so_plus_generator)
 from pellucas.lucas import Mat2, is_square
 from pellucas.oracle import disc_action_direct, enumerate_disc_group
@@ -83,6 +84,25 @@ def test_so_plus_generator_examples():
     assert so_plus_generator(make_lattice(1, 4, 1)).trace == 4
     assert so_plus_generator(make_lattice(1, 4, 0)) is None  # pell_d = 16
     assert so_plus_generator(make_lattice(1, 1, -1)).trace == 3
+
+
+def test_positive_norm_vector_closed_form():
+    # Signature (1,1) forms with a <= 0 and c <= 0, where no basis vector has
+    # positive norm.  The SO+ generator keeps the cone and -id swaps it.
+    minus_id = Mat2(-1, 0, 0, -1)
+    for a in range(-12, 1):
+        for c in range(-12, 1):
+            for b in range(-12, 13):
+                if b * b - 4 * a * c <= 0:
+                    continue
+                lat = make_lattice(a, b, c)
+                assert lat.norm(*positive_norm_vector(lat)) > 0, (a, b, c)
+                gen = so_plus_generator(lat)
+                if gen is not None:
+                    assert preserves_cone(lat, gen.g), (a, b, c)
+                assert not preserves_cone(lat, minus_id), (a, b, c)
+    with pytest.raises(ValueError):
+        positive_norm_vector(make_lattice(-1, 1, -1))  # negative definite
 
 
 def test_generator_group_law():

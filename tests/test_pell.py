@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellucas.errors import InvariantError
-from pellucas.lucas import is_square
+from pellucas.lucas import companion_power, is_square
 from pellucas.oracle import enumerate_pell, naive_membership
 from pellucas.pell import (PellProblem, PellSolution, compose,
                            fundamental_solution, is_gen_fib_a, is_gen_fib_b,
@@ -101,6 +102,25 @@ def test_membership_matches_naive_a(n, a):
     assert fast.is_member == slow.is_member
     if fast.is_member and not (a == 1 and n == 1):
         assert fast.index == slow.index
+
+
+@given(st.integers(1, 50), st.integers(4, 50), st.integers(10 ** 3, 10 ** 5))
+@settings(max_examples=20, deadline=None)
+def test_membership_index_in_bigint_regime(a, b, k):
+    # U_k is the corner and V_k the trace of the k-th companion power, a
+    # reference independent of lucas_uv.
+    m, n = companion_power("M", a, k), companion_power("N", b, k)
+    parity = "odd" if k % 2 else "even"
+    assert astuple(is_gen_fib_a(m.e01, a)) == (True, k, parity, m.trace)
+    assert astuple(is_gen_fib_b(n.e01, b)) == (True, k, None, n.trace)
+    for shift in (-1, 1):
+        assert not is_gen_fib_a(m.e01 + shift, a).is_member
+        assert not is_gen_fib_b(n.e01 + shift, b).is_member
+
+
+def test_membership_a_equals_one_takes_the_smallest_index():
+    # a_1 = a_2 = 1 for a = 1: index 1, with its witness V_1 = 1.
+    assert astuple(is_gen_fib_a(1, 1)) == (True, 1, "odd", 1)
 
 
 @given(st.integers(1, 5000), st.integers(4, 12))
