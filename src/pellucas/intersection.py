@@ -13,7 +13,7 @@ from math import isqrt
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
+from .lucas import LucasParams, is_square, lucas_uv
 from .oracle import square_rows
 from .pell import isqrt_exact
 
@@ -87,26 +87,26 @@ def square_product_test(system: PellSystem) -> bool:
     return is_square(system.d1 * system.d2)
 
 
-def _weight_seq(system: PellSystem, side: int):
-    """d_i * (i-th sequence term)^2 at index m, plus the index filter.
+def _weights(system: PellSystem, side: int, step: int):
+    """d_i * (i-th sequence term)^2 at index m = step, 2*step, 3*step, ...
 
     Matching these weights is the same as matching the traces
-    d*term^2 +- 2 of the corresponding matrix powers.
+    d*term^2 +- 2 of the corresponding matrix powers.  The terms come from
+    stepping the recurrence u_{m+1} = p u_m - q u_{m-1} (q = -1 for the
+    a-sequence, +1 for the b-sequence), one square per yielded weight.
     """
     if side == 1:
         d, p = system.d1, system.p1
-        kind = "b" if system.flavor == "minus_minus" else "a"
-        even_only = system.flavor == "mixed"
+        q = 1 if system.flavor == "minus_minus" else -1
     else:
         d, p = system.d2, system.p2
-        kind = "b" if system.flavor in ("minus_minus", "mixed") else "a"
-        even_only = False
-    term = gen_fib_b if kind == "b" else gen_fib_a
-
-    def weight(m: int) -> int:
-        return d * term(p, m) ** 2
-
-    return weight, even_only
+        q = 1 if system.flavor in ("minus_minus", "mixed") else -1
+    prev, cur = 0, 1
+    while True:
+        for _ in range(step - 1):
+            prev, cur = cur, p * cur - q * prev
+        yield d * cur * cur
+        prev, cur = cur, p * cur - q * prev
 
 
 def minimal_trace_match(system: PellSystem,
@@ -121,20 +121,21 @@ def minimal_trace_match(system: PellSystem,
         raise ValueError("the opposite-sign system has no infinite family")
     if not square_product_test(system):
         raise ValueError("no trace match exists: d1*d2 is not a square")
-    w1, even1 = _weight_seq(system, 1)
-    w2, _ = _weight_seq(system, 2)
-    m = 2 if even1 else 1
-    n = 1
-    step1 = 2 if even1 else 1
+    step1 = 2 if system.flavor == "mixed" else 1
+    w1, w2 = _weights(system, 1, step1), _weights(system, 2, 1)
+    m, n = step1, 1
+    a, b = next(w1), next(w2)
     parity_matters = system.flavor == "plus_plus"
     while max(m, n) <= cap:
-        a, b = w1(m), w2(n)
         if a == b and (not parity_matters or (m - n) % 2 == 0):
             return m, n
-        if a <= b:
+        advance1, advance2 = a <= b, b <= a
+        if advance1:
             m += step1
-        if b <= a:
+            a = next(w1)
+        if advance2:
             n += 1
+            b = next(w2)
     raise SearchCapExceeded(
         f"no trace match with max(m, n) <= {cap} for {system}")
 

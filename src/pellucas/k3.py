@@ -9,12 +9,15 @@ action on the 2-form.  No geometry is materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
 from .lattice import (IsometryAction, Lattice2, disc_group_action,
-                      is_isometry, make_lattice, preserves_cone)
-from .lucas import LucasParams, Mat2, gen_fib_a, gen_fib_b, lucas_uv, m_matrix, n_matrix
+                      isometry_det, make_lattice, preserves_cone)
+from .lucas import (LucasParams, Mat2, companion_power, gen_fib_a, gen_fib_b,
+                    lucas_uv, m_matrix)
 from .pell import is_gen_fib_a, is_gen_fib_b
 
 
@@ -49,9 +52,10 @@ def case_b_lattice(b: int) -> Lattice2:
 
 
 def _action(lattice: Lattice2, g: Mat2) -> IsometryAction:
-    if not is_isometry(lattice, g):
+    det = isometry_det(lattice, g)
+    if det is None:
         raise InvariantError(f"{g} is not an isometry of {lattice}")
-    return IsometryAction(g, g.det, g.trace, preserves_cone(lattice, g),
+    return IsometryAction(g, det, g.trace, preserves_cone(lattice, g),
                           disc_group_action(lattice, g))
 
 
@@ -93,7 +97,7 @@ def classify_case_a(m: int, a: int) -> K3CaseA:
     mat_a, mat_b = a_generators(a)
     if mat_a @ mat_b != m_matrix(a) ** 2:
         raise InvariantError(f"AB != M_a^2 for a={a}")
-    g = m_matrix(a) ** (2 * n)
+    g = companion_power("M", a, 2 * n)
     action = _action(case_a_lattice(m, a), g)
     if action.trace != (a * a + 4) * gen_fib_a(a, n) ** 2 + (-1) ** n * 2:
         raise InvariantError(f"trace formula fails for (m, a, n) = {(m, a, n)}")
@@ -112,8 +116,7 @@ def classify_case_b(b: int, n: int) -> K3CaseB:
             "(or is not hyperbolic), so no infinite-order automorphism exists")
     if n < 1:
         raise ValueError("n must be >= 1")
-    c = n_matrix(b).transpose  # [[0,-1],[1,b]]
-    g = c ** (2 * n)
+    g = companion_power("N", b, 2 * n).transpose  # C = N_b^T = [[0,-1],[1,b]]
     action = _action(case_b_lattice(b), g)
     if action.trace != (b * b - 4) * gen_fib_b(b, n) ** 2 + 2:
         raise InvariantError(f"trace formula fails for (b, n) = {(b, n)}")
@@ -145,23 +148,38 @@ class CorrespondenceRecord:
 _TRIAL_DIVISION_BOUND = 10 ** 4
 
 
-def _smallest_divisor_ge2(n: int) -> Optional[int]:
-    """Smallest divisor >= 2 found by bounded trial division.
+@cache
+def _small_primes() -> tuple[tuple[int, ...], int]:
+    """The primes below the trial-division bound and their product.
 
-    Returns n itself when the search certifies n prime, and None when n has
-    no divisor below the bound but is too large to certify (the pair data is
-    then left without a preferred m; any divisor works).
+    Built on first use, so importing the module stays cheap.
+    """
+    bound = _TRIAL_DIVISION_BOUND
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for i in range(2, isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    primes = tuple(i for i in range(bound) if sieve[i])
+    return primes, prod(primes)
+
+
+def _smallest_divisor_ge2(n: int) -> Optional[int]:
+    """Smallest divisor >= 2 when it lies below the trial-division bound.
+
+    One gcd with the product of the primes below the bound finds every such
+    divisor at once.  With none there, n is prime when n < 10001^2 (every
+    odd candidate up to 9999 is ruled out) and is returned; otherwise the
+    answer is None (the pair data is then left without a preferred m; any
+    divisor works).
     """
     if n < 2:
         return None
-    if n % 2 == 0:
-        return 2
-    i = 3
-    while i * i <= n and i <= _TRIAL_DIVISION_BOUND:
-        if n % i == 0:
-            return i
-        i += 2
-    return n if i * i > n else None
+    primes, product = _small_primes()
+    g = gcd(n, product)
+    if g > 1:
+        return next(p for p in primes if g % p == 0)
+    return n if n < (_TRIAL_DIVISION_BOUND + 1) ** 2 else None
 
 
 def correspondence_from_term(flavor: str, param: int, index: int) -> CorrespondenceRecord:
@@ -223,10 +241,15 @@ def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
 
     Returns the record plus per-leg agreement booleans; raises
     InvariantError if any leg disagrees (which would falsify the
-    correspondence).
+    correspondence).  A start whose term is also the term at the index the
+    y-leg reports (a = 1, index 1: a_1 = a_2 = 1) is ambiguous and raises
+    ValueError instead.
     """
     base = correspondence_from_term(flavor, param, index)
     via_y = correspondence_from_pell_y(flavor, param, base.term)
+    if via_y.index != index and via_y.term == base.term:
+        raise ValueError(f"the round trip from index {index} is ambiguous: "
+                         f"its term is also the term at index {via_y.index}")
     via_pair = correspondence_from_pair(flavor, param, via_y.index, m=via_y.m)
     # Pell leg: the (x, y) pair must solve the equation with the stated sign.
     d = base.pell_d

@@ -77,9 +77,24 @@ def make_lattice(a: int, b: int, c: int) -> Lattice2:
     return lattice
 
 
-def is_isometry(lattice: Lattice2, g: Mat2) -> bool:
-    q = lattice.gram
-    return g.transpose @ q @ g == q and abs(g.det) == 1
+def isometry_det(lattice: Lattice2, g: Mat2) -> Optional[int]:
+    """det g when g^T Q g == Q, else None; checked linearly in g's entries.
+
+    For e = det g = +-1, g^{-1} = e adj(g), so g^T Q g = Q holds exactly when
+    e Q g = adj(g)^T Q: four identities whose only full-size products are
+    the two inside the determinant.  Nothing here needs Q invertible.
+    """
+    p, q, r, s = g.e00, g.e01, g.e10, g.e11
+    e = p * s - q * r
+    if e != 1 and e != -1:
+        return None
+    a2, b, c2 = 2 * lattice.a, lattice.b, 2 * lattice.c
+    if (e * (a2 * p + b * r) == a2 * s - b * r
+            and e * (a2 * q + b * s) == b * s - c2 * r
+            and e * (b * p + c2 * r) == b * p - a2 * q
+            and e * (b * q + c2 * s) == c2 * p - b * q):
+        return e
+    return None
 
 
 def positive_norm_vector(lattice: Lattice2) -> tuple[int, int]:
@@ -116,7 +131,7 @@ def disc_group_action(lattice: Lattice2, g: Mat2) -> str:
     g acts as eps*id iff (g - eps*I) * Q^{-1} is integral; tested by
     divisibility of (g - eps*I) * adj(Q) by det(Q).
     """
-    if not is_isometry(lattice, g):
+    if isometry_det(lattice, g) is None:
         raise ValueError("matrix is not an isometry of the lattice")
     det = lattice.disc
     adj = lattice.gram.adjugate
@@ -139,9 +154,9 @@ def isometry_from_pell(lattice: Lattice2, sol: PellSolution) -> IsometryAction:
     if (u - b * v) % 2:
         raise InvariantError("parity violation in Pell solution")
     g = Mat2((u - b * v) // 2, -lattice.c * v, lattice.a * v, (u + b * v) // 2)
-    if not (is_isometry(lattice, g) and g.det == 1):
+    if isometry_det(lattice, g) != 1:
         raise InvariantError("Pell solution did not give a det-1 isometry")
-    return IsometryAction(g, g.det, g.trace, preserves_cone(lattice, g),
+    return IsometryAction(g, 1, g.trace, preserves_cone(lattice, g),
                           disc_group_action(lattice, g))
 
 

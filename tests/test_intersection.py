@@ -4,7 +4,7 @@ from pellucas.intersection import (PellSystem, SearchCapExceeded,
                                    _triple_for_x, brute_force_common,
                                    common_lucas_params, intersect,
                                    minimal_trace_match, square_product_test)
-from pellucas.lucas import LucasParams, is_square, lucas_uv
+from pellucas.lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
 
 
 def test_square_product_examples():
@@ -160,3 +160,40 @@ def test_intersect_agrees_with_brute_force_grid():
             assert got == expect, system
         else:
             assert expect == [(2, 0, 0)], system
+
+
+def _trace_match_reference(system, cap=10 ** 4):
+    # Two-pointer merge with every weight recomputed from scratch.
+    kind1 = "b" if system.flavor == "minus_minus" else "a"
+    kind2 = "b" if system.flavor in ("minus_minus", "mixed") else "a"
+    term = {"a": gen_fib_a, "b": gen_fib_b}
+    step1 = 2 if system.flavor == "mixed" else 1
+    m, n = step1, 1
+    while max(m, n) <= cap:
+        w1 = system.d1 * term[kind1](system.p1, m) ** 2
+        w2 = system.d2 * term[kind2](system.p2, n) ** 2
+        if w1 == w2 and (system.flavor != "plus_plus" or (m - n) % 2 == 0):
+            return m, n
+        if w1 <= w2:
+            m += step1
+        if w2 <= w1:
+            n += 1
+    return None
+
+
+def test_minimal_trace_match_matches_recomputed_weights():
+    systems = [PellSystem("plus_plus", p1, p2)
+               for p1 in range(1, 12) for p2 in range(p1 + 1, 13)]
+    systems += [PellSystem("minus_minus", p1, p2)
+                for p1 in range(4, 12) for p2 in range(p1 + 1, 13)]
+    systems += [PellSystem("mixed", a, b)
+                for a in range(1, 8) for b in range(4, 13)]
+    systems = [s for s in systems if square_product_test(s)]
+    # One long pair: p2 = V_1001(2, -1), so the match is (1001, 1).
+    systems.append(PellSystem("plus_plus", 2,
+                              lucas_uv(LucasParams(2, -1), 1001).v))
+    assert len(systems) == 8
+    for system in systems:
+        assert minimal_trace_match(system, cap=10 ** 4) \
+            == _trace_match_reference(system), system
+    assert minimal_trace_match(systems[-1]) == (1001, 1)

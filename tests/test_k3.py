@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellucas import k3
 from pellucas.errors import InvariantError
@@ -7,8 +9,10 @@ from pellucas.k3 import (NotInCorrespondenceError, a_generators, case_a_lattice,
                          correspondence_from_pair, correspondence_from_pell_y,
                          correspondence_from_term, correspondence_roundtrip,
                          rank_of_apparition)
-from pellucas.lattice import is_isometry
+from pellucas.lattice import isometry_det
 from pellucas.lucas import Mat2, gen_fib_a, m_matrix
+from pellucas.oracle import naive_matrix_power
+from pellucas.pell import MembershipVerdict
 
 
 def test_rank_of_apparition_examples():
@@ -46,7 +50,7 @@ def test_case_a_action_is_cone_preserving_isometry():
         for a in range(1, 6):
             case = classify_case_a(m, a)
             lat = case_a_lattice(m, a)
-            assert is_isometry(lat, case.action.g)
+            assert isometry_det(lat, case.action.g) == 1
             assert case.action.det == 1 and case.action.preserves_cone
 
 
@@ -116,3 +120,63 @@ def test_roundtrip_pair_leg_checks_the_apparition_rank(monkeypatch):
     monkeypatch.setattr(k3, "rank_of_apparition", lambda m, a: 5)
     with pytest.raises(InvariantError):
         correspondence_roundtrip("a", 1, 12)
+
+
+@given(st.integers(4, 40), st.integers(1, 300))
+@settings(max_examples=30, deadline=None)
+def test_case_b_action_matches_repeated_multiplication(b, n):
+    c = Mat2(0, -1, 1, b)
+    assert classify_case_b(b, n).action.g == naive_matrix_power(c, 2 * n)
+
+
+@given(st.integers(2, 150), st.integers(1, 12))
+@settings(max_examples=30, deadline=None)
+def test_case_a_action_matches_repeated_multiplication(m, a):
+    case = classify_case_a(m, a)
+    assume(case.n <= 300)
+    assert case.action.g == naive_matrix_power(m_matrix(a), 2 * case.n)
+
+
+def _trial_division(n):
+    # The odd candidates 3, 5, ..., 9999, stopping past sqrt(n).
+    if n % 2 == 0:
+        return 2
+    i = 3
+    while i * i <= n and i <= 10 ** 4:
+        if n % i == 0:
+            return i
+        i += 2
+    return n if i * i > n else None
+
+
+def test_smallest_divisor_matches_trial_division():
+    edge = 10001 ** 2
+    cases = list(range(2, 3000)) + list(range(edge - 3000, edge + 3000))
+    cases += [10007 ** 2, 10007 ** 2 - 1, 10007 ** 2 + 1, 9973 * 10007,
+              10007 * 10009, 9973 ** 2, 2 ** 61 - 1, 3 ** 80]
+    for n in cases:
+        assert k3._smallest_divisor_ge2(n) == _trial_division(n), n
+    assert k3._smallest_divisor_ge2(1) is None
+
+
+def test_roundtrip_from_the_ambiguous_start_is_rejected():
+    # a_1 = a_2 = 1 for a = 1: the y-leg cannot recover index 1.
+    with pytest.raises(ValueError, match="ambiguous"):
+        correspondence_roundtrip("a", 1, 1)
+    assert correspondence_roundtrip("a", 1, 2)["record"].index == 2
+    assert correspondence_roundtrip("a", 2, 1)["record"].index == 1
+
+
+def test_roundtrip_divergence_is_not_taken_for_ambiguity(monkeypatch):
+    # A y-leg that reports a wrong index has a different term there, so the
+    # round trip must fail as a falsified correspondence, not as a bad start.
+    real = k3.is_gen_fib_a
+
+    def off_by_one(n, a):
+        verdict = real(n, a)
+        return MembershipVerdict(True, verdict.index + 1, verdict.parity,
+                                 verdict.square_witness)
+
+    monkeypatch.setattr(k3, "is_gen_fib_a", off_by_one)
+    with pytest.raises(InvariantError, match="diverged"):
+        correspondence_roundtrip("a", 2, 5)

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pellucas.lattice import (Lattice2, disc_group_action, find_roots,
-                              is_isometry, isometry_from_pell, make_lattice,
+                              isometry_det, isometry_from_pell, make_lattice,
                               positive_norm_vector, preserves_cone,
                               so_plus_generator)
 from pellucas.lucas import Mat2, is_square
@@ -184,3 +186,56 @@ def test_parity_always_holds():
 def test_non_isometry_rejected():
     with pytest.raises(ValueError):
         disc_group_action(make_lattice(1, 4, 1), Mat2(1, 1, 0, 1))
+
+
+def _preserves_gram(lattice, g):
+    # g^T Q g == Q with det g = +-1, entry by entry in plain integers.
+    a2, b, c2 = 2 * lattice.a, lattice.b, 2 * lattice.c
+    p, q, r, s = g.e00, g.e01, g.e10, g.e11
+    return ((a2 * p * p + 2 * b * p * r + c2 * r * r,
+             a2 * p * q + b * (p * s + q * r) + c2 * r * s,
+             a2 * q * q + 2 * b * q * s + c2 * s * s) == (a2, b, c2)
+            and abs(p * s - q * r) == 1)
+
+
+def test_isometry_det_exhaustive_small_grid():
+    # Every lattice and matrix with entries in [-2, 2], degenerate forms and
+    # det != +-1 included; a = c = 0 is where the four identities of the
+    # linear check are all independent.
+    span = range(-2, 3)
+    lattices = [Lattice2(a, b, c) for a in span for b in span for c in span]
+    mats = [Mat2(p, q, r, s) for p in span for q in span for r in span
+            for s in span]
+    hits = 0
+    for lat in lattices:
+        for g in mats:
+            expect = _preserves_gram(lat, g)
+            det = isometry_det(lat, g)
+            assert (det is not None) == expect, (lat, g)
+            assert det in (None, g.det), (lat, g)
+            hits += expect
+    assert hits == 920
+
+
+@st.composite
+def lattice_and_matrix(draw):
+    a, b, c = (draw(st.integers(-6, 6)) for _ in range(3))
+    lat = Lattice2(a, b, c)
+    candidates = [Mat2(1, 0, 0, 1), Mat2(-1, 0, 0, -1), Mat2(0, 1, 1, 0),
+                  Mat2(1, 0, 0, -1)]
+    if lat.is_hyperbolic and not is_square(lat.pell_d):
+        g = so_plus_generator(lat).g
+        candidates += [g, -g, g @ g, g @ Mat2(0, 1, 1, 0)]
+    g = draw(st.one_of(st.sampled_from(candidates),
+                       st.builds(Mat2, *(st.integers(-6, 6) for _ in range(4)))))
+    # Nudge one entry: an isometry becomes a near miss, often det +-1 still.
+    nudge = draw(st.sampled_from([(0, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0),
+                                  (0, 0, 1, 0), (0, 0, 0, -1)]))
+    return lat, g + Mat2(*nudge)
+
+
+@given(lattice_and_matrix())
+@settings(max_examples=400)
+def test_isometry_det_matches_gram_preservation(case):
+    lat, g = case
+    assert (isometry_det(lat, g) is not None) == _preserves_gram(lat, g)

@@ -125,3 +125,11 @@ def test_degenerate_params_still_evaluate():
     assert not params.nondegenerate
     t = lucas_uv(params, 7)
     assert (t.u, t.v) == (7, 2)  # U_n = n, V_n = 2 at the repeated root 1
+
+
+@given(st.sampled_from("MN"), st.integers(4, 30), st.integers(10 ** 3, 3 * 10 ** 4))
+@settings(max_examples=10, deadline=None)
+def test_companion_power_matches_square_and_multiply_at_bigint_size(kind, value, n):
+    # The power read off lucas_uv against Mat2 square-and-multiply.
+    base = m_matrix(value) if kind == "M" else n_matrix(value)
+    assert companion_power(kind, value, n) == base ** n

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellucas.errors import InvariantError
-from pellucas.lucas import companion_power, is_square
+from pellucas.lucas import is_square, m_matrix, n_matrix
 from pellucas.oracle import enumerate_pell, naive_membership
 from pellucas.pell import (PellProblem, PellSolution, compose,
                            fundamental_solution, is_gen_fib_a, is_gen_fib_b,
@@ -107,9 +107,9 @@ def test_membership_matches_naive_a(n, a):
 @given(st.integers(1, 50), st.integers(4, 50), st.integers(10 ** 3, 10 ** 5))
 @settings(max_examples=20, deadline=None)
 def test_membership_index_in_bigint_regime(a, b, k):
-    # U_k is the corner and V_k the trace of the k-th companion power, a
-    # reference independent of lucas_uv.
-    m, n = companion_power("M", a, k), companion_power("N", b, k)
+    # U_k is the corner and V_k the trace of the k-th companion power, by
+    # Mat2 square-and-multiply: a reference independent of lucas_uv.
+    m, n = m_matrix(a) ** k, n_matrix(b) ** k
     parity = "odd" if k % 2 else "even"
     assert astuple(is_gen_fib_a(m.e01, a)) == (True, k, parity, m.trace)
     assert astuple(is_gen_fib_b(n.e01, b)) == (True, k, None, n.trace)
