@@ -34,6 +34,8 @@ def main() -> None:
         omega = "+1" if rec.omega_sign == 1 else "-1"
         if args.flavor == "b":
             m = "-"  # the divisor-m pair data only exists for the a-family
+        elif rec.term == 1:
+            m = "-"  # no m >= 2 divides 1, so there is no pair data
         else:
             m = rec.m if rec.m is not None else "?"
         print(f"{n:>3} {rec.term:>14} {rec.x:>14} {rec.pell_sign:>+5} "

@@ -4,9 +4,8 @@ even-lattice isometries, and intersections of Lucas V-sequences."""
 __version__ = "0.1.0"
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import (IdentityReport, LucasParams, Mat2, SeqTerm,
-                    check_identity_a, check_identity_b, companion_power,
-                    gen_fib_a, gen_fib_b, lucas_uv)
+from .lucas import (LucasParams, Mat2, SeqTerm, companion_power, gen_fib_a,
+                    gen_fib_b, lucas_uv)
 from .pell import (MembershipVerdict, PellProblem, PellSolution, compose,
                    fundamental_solution, is_gen_fib_a, is_gen_fib_b,
                    isqrt_exact, solutions_iter)

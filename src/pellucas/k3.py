@@ -14,8 +14,8 @@ from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lattice import (IsometryAction, Lattice2, disc_group_action,
-                      isometry_det, make_lattice, preserves_cone)
+from .lattice import (IsometryAction, Lattice2, _disc_action, isometry_det,
+                      make_lattice, preserves_cone)
 from .lucas import (LucasParams, Mat2, companion_power, gen_fib_a, gen_fib_b,
                     lucas_uv, m_matrix)
 from .pell import is_gen_fib_a, is_gen_fib_b
@@ -56,7 +56,7 @@ def _action(lattice: Lattice2, g: Mat2) -> IsometryAction:
     if det is None:
         raise InvariantError(f"{g} is not an isometry of {lattice}")
     return IsometryAction(g, det, g.trace, preserves_cone(lattice, g),
-                          disc_group_action(lattice, g))
+                          _disc_action(lattice, g))
 
 
 @dataclass(frozen=True)

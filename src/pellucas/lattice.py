@@ -133,6 +133,11 @@ def disc_group_action(lattice: Lattice2, g: Mat2) -> str:
     """
     if isometry_det(lattice, g) is None:
         raise ValueError("matrix is not an isometry of the lattice")
+    return _disc_action(lattice, g)
+
+
+def _disc_action(lattice: Lattice2, g: Mat2) -> str:
+    """disc_group_action for a g that the caller has just checked."""
     det = lattice.disc
     adj = lattice.gram.adjugate
     for eps, tag in ((1, "+id"), (-1, "-id")):
@@ -157,7 +162,7 @@ def isometry_from_pell(lattice: Lattice2, sol: PellSolution) -> IsometryAction:
     if isometry_det(lattice, g) != 1:
         raise InvariantError("Pell solution did not give a det-1 isometry")
     return IsometryAction(g, 1, g.trace, preserves_cone(lattice, g),
-                          disc_group_action(lattice, g))
+                          _disc_action(lattice, g))
 
 
 def so_plus_generator(lattice: Lattice2) -> Optional[IsometryAction]:

@@ -133,21 +133,6 @@ def naive_membership(value: int, flavor: str, param: int,
     return MembershipVerdict(False)
 
 
-def membership_set(flavor: str, param: int, bound: int) -> dict[int, int]:
-    """{term value: smallest index k >= 1} for terms <= bound."""
-    out: dict[int, int] = {}
-    prev, cur = 0, 1
-    k = 1
-    while cur <= bound:
-        out.setdefault(cur, k)
-        if flavor == "a":
-            prev, cur = cur, param * cur + prev
-        else:
-            prev, cur = cur, param * cur - prev
-        k += 1
-    return out
-
-
 def whitney_member_mask(d: int, shift: int, bound: int) -> np.ndarray:
     """Boolean mask over n = 0..bound of `d*n^2 + shift is a perfect square`.
 

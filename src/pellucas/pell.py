@@ -72,18 +72,14 @@ def compose(d: int, s1: PellSolution, s2: PellSolution) -> PellSolution:
     return PellSolution(un // 2, vn // 2, s1.sign * s2.sign // 4)
 
 
-def _fundamental_unit(d: int) -> tuple[int, int, int]:
-    """Smallest (u, v, norm) with u^2 - d v^2 = 4*norm, u, v > 0; d nonsquare.
+def _period(d: int) -> tuple[int, list[int]]:
+    """b and the partial quotients of one period of w = (b + sqrt(D))/2.
 
-    This is the fundamental unit (u + v sqrt(D))/2 of the quadratic order of
-    discriminant D = d when d = 0, 1 (mod 4), and D = 4d otherwise (where u
-    and v are forced to be even).  It is read off one period of the purely
-    periodic continued fraction of w = (b + sqrt(D))/2, b the largest integer
-    below sqrt(D) with b = D (mod 2).  The complete quotients are
-    (P + sqrt(D))/Q with small integers P, Q, and the period ends when (P, Q)
-    returns to (b, 2).  For period l the product of the [[a_i, 1], [1, 0]] has
-    bottom row (q_{l-1}, q_{l-2}), and q_{l-1} w + q_{l-2} is the unit, of
-    norm (-1)^l.
+    D = d when d = 0, 1 (mod 4), and D = 4d otherwise; d is nonsquare, and b
+    is the largest integer below sqrt(D) with b = D (mod 2).  The continued
+    fraction of w is purely periodic.  Its complete quotients are
+    (P + sqrt(D))/Q with small integers P, Q, and the period ends when
+    (P, Q) returns to (b, 2).
     """
     big_d = d if d % 4 < 2 else 4 * d
     s = isqrt(big_d)
@@ -98,7 +94,18 @@ def _fundamental_unit(d: int) -> tuple[int, int, int]:
         p, p_prev = a * q - p, p
         q, q_prev = q_prev + a * (p_prev - p), q
         if q == 2 and p == b:
-            break
+            return b, quotients
+
+
+def _fundamental_unit(d: int, b: int, quotients: list[int]) -> tuple[int, int]:
+    """Smallest (u, v), u, v > 0, with u^2 - d v^2 = 4 (-1)^l, from the period
+    (b, quotients) = _period(d) of length l.
+
+    This is the fundamental unit (u + v sqrt(D))/2 of the quadratic order of
+    discriminant D (where u and v are forced to be even when D = 4d).  The
+    product of the [[a_i, 1], [1, 0]] has bottom row (q_{l-1}, q_{l-2}), and
+    q_{l-1} w + q_{l-2} is the unit, of norm (-1)^l.
+    """
     # Only the bottom row, (0, 1) times the product, is needed: run it through
     # the first quotients, then multiply by the tree of the remaining leaves.
     v, w = 0, 1
@@ -112,15 +119,17 @@ def _fundamental_unit(d: int) -> tuple[int, int, int]:
         leaves.append((e, f, g, h))
     e, f, g, h = mat2_product(leaves)
     v, w = v * e + w * g, v * f + w * h
-    u, norm = b * v + 2 * w, (-1) ** len(quotients)
+    u = b * v + 2 * w
     # (u + v sqrt(4d))/2 = (u + 2v sqrt(d))/2 when D = 4d.
-    return (u, v, norm) if big_d == d else (u, 2 * v, norm)
+    return (u, v) if d % 4 < 2 else (u, 2 * v)
 
 
 def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
     """Minimal positive solution, or None when the equation has none.
 
-    For square d and sign +4 the only solution is (2, 0).
+    For square d and sign +4 the only solution is (2, 0).  For nonsquare d,
+    u^2 - d v^2 = -4 is solvable exactly when the period is odd, so an even
+    period answers None before any convergent is built.
     """
     d, sign = problem.d, problem.sign
     s = isqrt_exact(d)
@@ -133,11 +142,14 @@ def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
         if d == 4:
             return PellSolution(0, 1, -4)
         return None
-    u, v, norm = _fundamental_unit(d)
+    b, quotients = _period(d)
+    norm = -1 if len(quotients) % 2 else 1
+    if sign == -4 and norm == 1:
+        return None
+    u, v = _fundamental_unit(d, b, quotients)
     unit = PellSolution(u, v, 4 * norm)
-    if sign == -4:
-        return unit if norm == -1 else None
-    return unit if norm == 1 else compose(d, unit, unit)
+    # Here sign = -4 implies norm = -1; a unit of norm -1 squares to the +4 one.
+    return unit if sign == -4 or norm == 1 else compose(d, unit, unit)
 
 
 def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:

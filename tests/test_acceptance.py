@@ -249,13 +249,15 @@ def test_08_intersections_to_1e9(capsys):
     """Closed-form families == brute force to x <= 10^9, exact substitution."""
     bound = 10 ** 9
     bad = None
+    # cap: just above max(m, n) of the minimal pairs (3, 1), (2, 1), (4, 1),
+    # so a merge that skips the match fails instead of running on.
     cases = [
-        (PellSystem("plus_plus", 1, 4), LucasParams(4, -1), [2, 4, 18, 76]),
-        (PellSystem("minus_minus", 4, 14), LucasParams(14, 1), [2, 14, 194]),
-        (PellSystem("mixed", 1, 7), LucasParams(7, 1), [2, 7, 47, 322]),
+        (PellSystem("plus_plus", 1, 4), LucasParams(4, -1), [2, 4, 18, 76], 4),
+        (PellSystem("minus_minus", 4, 14), LucasParams(14, 1), [2, 14, 194], 3),
+        (PellSystem("mixed", 1, 7), LucasParams(7, 1), [2, 7, 47, 322], 5),
     ]
-    for system, params, prefix in cases:
-        r = intersect(system, 16)
+    for system, params, prefix, cap in cases:
+        r = intersect(system, 16, cap=cap)
         xs = [s[0] for s in r.solutions]
         if r.common_params != params or xs[:len(prefix)] != prefix \
                 or any(xs[k] != lucas_uv(params, k).v for k in range(16)):

@@ -13,24 +13,27 @@ def test_square_product_examples():
     assert square_product_test(PellSystem("minus_minus", 4, 14))
 
 
+# Each cap sits just above the known answer's max(m, n), so a merge that
+# skips the match fails at once instead of running on toward the default cap.
+
 def test_minimal_trace_match_examples():
-    assert minimal_trace_match(PellSystem("plus_plus", 1, 4)) == (3, 1)
-    assert minimal_trace_match(PellSystem("minus_minus", 4, 14)) == (2, 1)
-    assert minimal_trace_match(PellSystem("mixed", 1, 7)) == (4, 1)
+    assert minimal_trace_match(PellSystem("plus_plus", 1, 4), cap=4) == (3, 1)
+    assert minimal_trace_match(PellSystem("minus_minus", 4, 14), cap=3) == (2, 1)
+    assert minimal_trace_match(PellSystem("mixed", 1, 7), cap=5) == (4, 1)
 
 
 def test_intersect_examples():
-    r = intersect(PellSystem("plus_plus", 1, 4), 4)
+    r = intersect(PellSystem("plus_plus", 1, 4), 4, cap=4)
     assert [s[0] for s in r.solutions] == [2, 4, 18, 76]
     assert r.solutions[1] == (4, 2, 1) and r.solutions[2] == (18, 8, 4)
     assert r.common_params == LucasParams(4, -1)
 
-    r = intersect(PellSystem("minus_minus", 4, 14), 3)
+    r = intersect(PellSystem("minus_minus", 4, 14), 3, cap=3)
     assert [s[0] for s in r.solutions] == [2, 14, 194]
     assert r.solutions[1] == (14, 4, 1)
     assert r.common_params == LucasParams(14, 1)
 
-    r = intersect(PellSystem("mixed", 1, 7), 4)
+    r = intersect(PellSystem("mixed", 1, 7), 4, cap=5)
     assert [s[0] for s in r.solutions] == [2, 7, 47, 322]
     assert r.solutions[1] == (7, 3, 1)
     assert r.common_params == LucasParams(7, 1)
@@ -196,4 +199,4 @@ def test_minimal_trace_match_matches_recomputed_weights():
     for system in systems:
         assert minimal_trace_match(system, cap=10 ** 4) \
             == _trace_match_reference(system), system
-    assert minimal_trace_match(systems[-1]) == (1001, 1)
+    assert minimal_trace_match(systems[-1], cap=1002) == (1001, 1)

@@ -1,10 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pellucas.lucas import (LucasParams, Mat2, check_identity_a,
-                            check_identity_b, companion_power, gen_fib_a,
-                            gen_fib_b, lucas_uv, m_matrix, n_matrix)
+from pellucas.lucas import (_TOOM_CUTOFF, LucasParams, Mat2, _square,
+                            companion_power, gen_fib_a, gen_fib_b, lucas_uv,
+                            m_matrix, n_matrix)
 from pellucas.oracle import naive_lucas
 
 
@@ -80,25 +82,41 @@ def test_n_matrix_power_structure(b, n):
     assert direct.det == 1
 
 
+def _assert_identities_a(a, n, k):
+    f = lambda i: gen_fib_a(a, i)
+    # addition law
+    assert f(n + k) == f(k) * f(n + 1) + f(k - 1) * f(n)
+    # Catalan-type
+    assert f(n + 1) * f(n - 1) - f(n) ** 2 == (-1) ** n
+    # trace identity
+    assert f(2 * n + 1) + f(2 * n - 1) == (a * a + 4) * f(n) ** 2 + (-1) ** n * 2
+
+
+def _assert_identities_b(b, n, k):
+    g = lambda i: gen_fib_b(b, i)
+    # addition law
+    assert g(n + k) == g(k) * g(n + 1) - g(k - 1) * g(n)
+    # determinant: no alternating sign, since Q = 1
+    assert g(n) ** 2 - g(n - 1) * g(n + 1) == 1
+    # trace identity
+    assert g(2 * n + 1) - g(2 * n - 1) == (b * b - 4) * g(n) ** 2 + 2
+
+
 @given(st.integers(1, 10), st.integers(1, 100), st.integers(1, 100))
 @settings(max_examples=60)
 def test_identities_a(a, n, k):
-    for report in check_identity_a(a, n, k):
-        assert report.holds, report
+    _assert_identities_a(a, n, k)
 
 
 @given(st.integers(4, 12), st.integers(2, 100), st.integers(1, 100))
 @settings(max_examples=60)
 def test_identities_b_from_n2(b, n, k):
-    for report in check_identity_b(b, n, k):
-        assert report.holds, report
+    _assert_identities_b(b, n, k)
 
 
 def test_identity_b_determinant_holds_at_n1():
     # b_1^2 - b_0 b_2 = 1 - 0: no alternating sign for the b-family.
-    reports = {r.name: r for r in check_identity_b(5, 1)}
-    assert reports["determinant"].holds and reports["determinant"].lhs == 1
-    assert reports["addition"].holds and reports["trace"].holds
+    _assert_identities_b(5, 1, 1)
 
 
 @given(st.integers(1, 8), st.integers(1, 200))
@@ -133,3 +151,78 @@ def test_companion_power_matches_square_and_multiply_at_bigint_size(kind, value,
     # The power read off lucas_uv against Mat2 square-and-multiply.
     base = m_matrix(value) if kind == "M" else n_matrix(value)
     assert companion_power(kind, value, n) == base ** n
+
+
+# --- Toom-3 squaring kernel and the two-square doubling step ------------------
+
+def _shaped(bits, seed, shape):
+    """A non-negative integer of exactly `bits` bits with the given shape."""
+    if bits == 0:
+        return 0
+    if shape == "ones":
+        return (1 << bits) - 1
+    if shape == "power":
+        return 1 << (bits - 1)
+    return random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+
+
+_SHAPES = ("random", "ones", "power")
+
+
+@given(st.one_of(st.integers(0, 4 * _TOOM_CUTOFF), st.integers(0, 2 * 10 ** 6 + 1)),
+       st.integers(0, 2 ** 32), st.sampled_from(_SHAPES), st.booleans())
+@example(2 * 10 ** 6 + 1, 0, "power", False)  # 2^(2*10^6) itself
+@example(2 * 10 ** 6, 1, "random", True)
+@example(2 * 10 ** 6, 0, "ones", False)
+@settings(max_examples=25, deadline=None)
+def test_square_matches_product(bits, seed, shape, negative):
+    x = _shaped(bits, seed, shape)
+    x = -x if negative else x
+    assert _square(x) == x * x
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("offset", range(-3, 4))
+def test_square_at_the_cutoff(offset, shape):
+    # Both sides of the cutoff, and every residue of the bit length mod 3
+    # (it sets the size of the top limb).
+    for seed in range(3):
+        x = _shaped(_TOOM_CUTOFF + offset, seed, shape)
+        assert _square(x) == x * x
+        assert _square(-x) == x * x
+
+
+def _matrix_uv(params, n):
+    """(U_n, V_n) from [[p, -q], [1, 0]]^n = [[U_{n+1}, -q U_n], [U_n, ...]]."""
+    m = Mat2(params.p, -params.q, 1, 0) ** n
+    return m.e10, 2 * m.e00 - params.p * m.e10
+
+
+@pytest.mark.parametrize("p, q, n", [
+    (20, -1, 2 * 10 ** 4),
+    (25, 1, 5 * 10 ** 4),
+    (-21, 3, 3 * 10 ** 4),     # negative p
+    (1, 2, 2 * 10 ** 5),       # D = -7 < 0
+    (3, -5, 5 * 10 ** 4),      # |q| > 1
+    (2 ** 31 + 11, -3, 3000),  # |D| just below 2^64: two squares
+    (2 ** 32 + 1, 1, 3000),    # |D| above 2^64: the product step
+    (20, 100, 2 * 10 ** 4),    # D = 0 with big operands: U_n = n 10^(n-1)
+    (2, 1, 5 * 10 ** 4),       # D = 0: U_n = n, V_n = 2
+])
+def test_lucas_uv_in_squaring_regime_matches_matrix_power(p, q, n):
+    params = LucasParams(p, q)
+    t = lucas_uv(params, n)
+    assert (t.u, t.v) == _matrix_uv(params, n)
+    if params.discriminant:
+        # V_n doubled from half its size, so the last steps were squarings.
+        assert t.v.bit_length() >= 4 * _TOOM_CUTOFF
+
+
+@given(st.integers(20, 40), st.integers(-9, 9).filter(bool),
+       st.integers(2 * 10 ** 4, 5 * 10 ** 4))
+@settings(max_examples=8, deadline=None)
+def test_lucas_uv_squaring_regime_property(p, q, n):
+    params = LucasParams(p, q)
+    t = lucas_uv(params, n)
+    assert t.v.bit_length() >= 4 * _TOOM_CUTOFF
+    assert (t.u, t.v) == _matrix_uv(params, n)

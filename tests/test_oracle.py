@@ -12,9 +12,8 @@ from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
 from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, _wheel,
                              enumerate_disc_group, enumerate_pell,
-                             first_root_in_box, membership_set, naive_lucas,
-                             naive_membership, square_rows,
-                             whitney_member_mask)
+                             first_root_in_box, naive_lucas, naive_membership,
+                             square_rows, whitney_member_mask)
 
 
 def test_naive_lucas_examples():
@@ -36,13 +35,11 @@ def test_naive_membership_examples():
     assert naive_membership(8, "a", 1).index == 6
     assert not naive_membership(9, "a", 1).is_member
     assert naive_membership(1, "b", 9).index == 1
-
-
-def test_membership_set_matches_pointwise():
-    members = membership_set("a", 2, 10 ** 4)
-    for n in (2, 5, 12, 29, 70):
-        assert n in members
-    assert 3 not in members and 100 not in members
+    # Pell numbers (a = 2): 2, 5, 12, 29, 70 are a_2..a_6; 3 and 100 are not.
+    assert [naive_membership(n, "a", 2).index for n in (2, 5, 12, 29, 70)] \
+        == [2, 3, 4, 5, 6]
+    assert not naive_membership(3, "a", 2).is_member
+    assert not naive_membership(100, "a", 2).is_member
 
 
 def test_whitney_mask_matches_sequence():

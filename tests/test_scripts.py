@@ -18,13 +18,23 @@ RUNS = [
 ]
 
 
-@pytest.mark.parametrize("script, args, row_prefix", RUNS,
-                         ids=[run[0] for run in RUNS])
-def test_script_prints_a_table(script, args, row_prefix):
+def _rows(script, args, row_prefix):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                          capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
-    rows = [line for line in out.stdout.splitlines()
+    return [line for line in out.stdout.splitlines()
             if line.startswith(row_prefix)]
-    assert rows, out.stdout
+
+
+@pytest.mark.parametrize("script, args, row_prefix", RUNS,
+                         ids=[run[0] for run in RUNS])
+def test_script_prints_a_table(script, args, row_prefix):
+    assert _rows(script, args, row_prefix)
+
+
+def test_correspondence_table_term_one_has_no_pair_data():
+    # The first a = 1 row is n = 2, term a_2 = 1: no m >= 2 divides it, so
+    # the m column reads "-", as in the b-family rows, not "?" (not found).
+    row = _rows(*RUNS[0])[0].split()
+    assert (row[0], row[1], row[-1]) == ("2", "1", "-")
