@@ -9,7 +9,9 @@ integer is serialized as a decimal string because results outgrow 64 bits
 quickly.
 
 Exit codes: 0 success, 1 verification disagreement, 2 usage error,
-3 unsolvable equation when a solution was demanded, 4 search cap exceeded.
+3 unsolvable equation when a solution was demanded, 4 search cap exceeded,
+5 a result has more digits than the interpreter converts to text (nothing
+is printed to stdout then).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSOLVABLE = 3
 EXIT_CAP = 4
+EXIT_TOO_LONG = 5
 
 
 def _env_default(name: str, fallback=None, cast=str):
@@ -72,19 +75,20 @@ class Record:
         self.verify: dict | None = None
         self.started = time.perf_counter()
 
-    def emit(self, fmt: str) -> None:
+    def render(self, fmt: str) -> str:
+        """The whole output text; ValueError if an integer is too long for
+        str() under the interpreter's digit limit."""
         if fmt == "structured":
             doc = {"command": self.command, "inputs": _jsonable(self.inputs),
                    "result": _jsonable(self.result),
                    "verify": _jsonable(self.verify), "version": __version__}
-            print(json.dumps(doc, indent=2, sort_keys=True))
-        else:
-            print(f"# {self.command} {self.inputs}")
-            for key, value in self.result.items():
-                print(f"{key}: {value}")
-            if self.verify is not None:
-                print(f"verify: {self.verify}")
-            print(f"elapsed: {time.perf_counter() - self.started:.3f}s")
+            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        lines = [f"# {self.command} {self.inputs}"]
+        lines += [f"{key}: {value}" for key, value in self.result.items()]
+        if self.verify is not None:
+            lines.append(f"verify: {self.verify}")
+        lines.append(f"elapsed: {time.perf_counter() - self.started:.3f}s")
+        return "\n".join(lines) + "\n"
 
     def check_verify(self) -> int:
         if self.verify is not None and not self.verify.get("agrees", True):
@@ -138,7 +142,6 @@ def cmd_pell(args, rec: Record) -> int:
     if fund is None:
         rec.result["solvable"] = False
         if args.require_solution:
-            rec.emit(args.format)
             return EXIT_UNSOLVABLE
         return EXIT_OK
     rec.result["solvable"] = True
@@ -372,10 +375,17 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if code != EXIT_OK:
+    if code not in (EXIT_OK, EXIT_UNSOLVABLE):
         return code
-    rec.emit(args.format)
-    return rec.check_verify()
+    try:
+        text = rec.render(args.format)
+    except ValueError:
+        print("error: a result has more digits than this interpreter converts "
+              "to text; set PYTHONINTMAXSTRDIGITS=0 to lift the limit",
+              file=sys.stderr)
+        return EXIT_TOO_LONG
+    sys.stdout.write(text)
+    return code if code != EXIT_OK else rec.check_verify()
 
 
 if __name__ == "__main__":

@@ -221,27 +221,35 @@ def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int,
     """All solutions (x, y, z) with 2 <= x <= x_bound, by direct search.
 
     Candidate x-values are the roots of the perfect squares d*w^2 + sign over
-    the full w-range of the equation with the larger d (``oracle.square_rows``);
-    every candidate is re-verified against both equations in exact integer
-    arithmetic.  Bounds whose rows would leave int64 raise ValueError before
-    any row is scanned.
+    the full w-range of the equation with the larger d (``oracle.square_rows``).
+    The scanned w is that equation's coordinate; the other coordinate solves
+    the other equation, under the flavor's sign pairing, by an exact isqrt.
+    Nothing is shared with the fast path of ``intersect``.  An x that solves
+    two sign pairings takes the first pairing, in the order of ``signs1``.
+    Bounds whose rows would leave int64 raise ValueError before any row is
+    scanned.
     """
     if x_bound < 2:
         raise ValueError("x_bound must be >= 2")
-    if system.d1 >= system.d2:
-        d, signs = system.d1, system.signs1
-    else:
-        d = system.d2
-        signs = tuple(sorted({s for s1 in system.signs1
-                              for s in system.signs2_for(s1)}))
-    out = {}
+    pairs = [(s1, s2) for s1 in system.signs1 for s2 in system.signs2_for(s1)]
+    scan_first = system.d1 >= system.d2
+    d, d_other = ((system.d1, system.d2) if scan_first
+                  else (system.d2, system.d1))
     # d*w^2 = x^2 - sign <= x_bound^2 + 4 is the whole range.
     w_bound = isqrt((x_bound * x_bound + 4) // d)
     # A list, so that the int64 guard of every sign runs before any scan.
-    for rows in [square_rows(d, sign, 0, w_bound) for sign in signs]:
-        for _, x in rows:
-            if 2 <= x <= x_bound:
-                triple = _triple_for_x(system, x)
-                if triple is not None:
-                    out[x] = triple
+    scans = [square_rows(d, s1 if scan_first else s2, 0, w_bound)
+             for s1, s2 in pairs]
+    out = {}
+    for (s1, s2), rows in zip(pairs, scans):
+        sign_other = s2 if scan_first else s1
+        for w, x in rows:
+            if not 2 <= x <= x_bound or x in out:
+                continue
+            num = x * x - sign_other
+            if num < 0 or num % d_other:
+                continue
+            v = isqrt(num // d_other)
+            if v * v == num // d_other:
+                out[x] = (x, w, v) if scan_first else (x, v, w)
     return [out[x] for x in sorted(out)]

@@ -17,7 +17,7 @@ from .errors import InvariantError, SearchCapExceeded
 from .lattice import (IsometryAction, Lattice2, _disc_action, isometry_det,
                       make_lattice, preserves_cone)
 from .lucas import (LucasParams, Mat2, companion_power, gen_fib_a, gen_fib_b,
-                    lucas_uv, m_matrix)
+                    lucas_uv)
 from .pell import is_gen_fib_a, is_gen_fib_b
 
 
@@ -81,22 +81,15 @@ class K3CaseB:
     symplectic: bool = True
 
 
-def a_generators(a: int) -> tuple[Mat2, Mat2]:
-    """The involution pair A = [[1,0],[a,-1]], B = [[1,a],[0,-1]]."""
-    return Mat2(1, 0, a, -1), Mat2(1, a, 0, -1)
-
-
 def classify_case_a(m: int, a: int) -> K3CaseA:
     """Automorphism action on the lattice m*[[2,a],[a,-2]].
 
     n is the smallest index with m | a_n; the action is (AB)^n = M_a^{2n},
     symplectic for even n and anti-symplectic for odd n, with
-    trace = (a^2+4) a_n^2 + (-1)^n 2.
+    trace = (a^2+4) a_n^2 + (-1)^n 2.  A = [[1,0],[a,-1]] and
+    B = [[1,a],[0,-1]] are involutions with AB = M_a^2 for every a.
     """
     n = rank_of_apparition(m, a)
-    mat_a, mat_b = a_generators(a)
-    if mat_a @ mat_b != m_matrix(a) ** 2:
-        raise InvariantError(f"AB != M_a^2 for a={a}")
     g = companion_power("M", a, 2 * n)
     action = _action(case_a_lattice(m, a), g)
     if action.trace != (a * a + 4) * gen_fib_a(a, n) ** 2 + (-1) ** n * 2:

@@ -5,7 +5,9 @@ results by direct enumeration.  They share no code with the modules they
 validate.  The big enumerations scan only the rows a residue wheel cannot
 rule out, with numpy (imported on first use), and confirm every candidate
 in exact integer arithmetic; the brute-force intersection search uses the
-same square search.
+same square search.  Each numpy chunk is whole wheel turns (turn starts
+plus the residue list, by broadcasting) or a slice of one turn, and is
+filtered by a float square root computed in place.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ INT64_MAX = 2 ** 63 - 1
 # Square sieve moduli (Cohen, GTM 138, Alg. 1.7.3), pairwise coprime.
 WHEEL_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
 WHEEL_CHUNK = 1 << 16
+# The squares modulo each wheel modulus; they do not depend on the input.
+_SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in WHEEL_MODULI}
 
 
 def naive_lucas(params: LucasParams, n: int) -> SeqTerm:
@@ -44,14 +48,19 @@ def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
     A square stays a square mod m, so no w with d*w^2 + sign a perfect square
     is dropped (Cohen, GTM 138, Alg. 1.7.3).  Moduli that reject no residue
     are skipped, and none is added once the wheel would outgrow [lo, hi].
+    A chunk is whole wheel turns, turn start + residue by broadcasting, or a
+    slice of one turn when a turn keeps more than 2^16 residues; only the
+    first and the last turn are trimmed to [lo, hi].
     """
     import numpy as np
     wheel, residues = 1, np.zeros(1, dtype=np.int64)
     for m in WHEEL_MODULI:
         if wheel * m > hi - lo + 1:
             break
-        squares = {x * x % m for x in range(m)}
-        keep = [a for a in range(m) if (d * a * a + sign) % m in squares]
+        squares, dm, sm = _SQUARES[m], d % m, sign % m
+        keep = [a for a in range(m) if (dm * a * a + sm) % m in squares]
+        if not keep:
+            return
         if len(keep) == m:
             continue
         # Garner's step: r + wheel*((a - r) * wheel^-1 mod m) is r mod wheel
@@ -60,12 +69,19 @@ def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
                  - residues[:, None] % m) * pow(wheel, -1, m)) % m
         residues = np.sort((residues[:, None] + wheel * lift).ravel())
         wheel *= m
-    first, count = lo // wheel, len(residues)
-    total = (hi // wheel - first + 1) * count
-    for start in range(0, total, WHEEL_CHUNK):
-        i = np.arange(start, min(start + WHEEL_CHUNK, total), dtype=np.int64)
-        w = (first + i // count) * wheel + residues[i % count]
-        yield w[(w >= lo) & (w <= hi)]
+    count = len(residues)
+    per_chunk = max(1, WHEEL_CHUNK // count)
+    # Equal slices: chunks of one size reuse the same freed memory.
+    slices = np.array_split(residues, -(-count // WHEEL_CHUNK))
+    first, last = lo // wheel, hi // wheel
+    for turn in range(first, last + 1, per_chunk):
+        turns = np.arange(turn, min(turn + per_chunk, last + 1),
+                          dtype=np.int64) * wheel
+        for part in slices:
+            w = (turns[:, None] + part).ravel()
+            if w[0] < lo or w[-1] > hi:
+                w = w[np.searchsorted(w, lo):np.searchsorted(w, hi, "right")]
+            yield w
 
 
 def square_rows(d: int, sign: int, lo: int,
@@ -89,13 +105,26 @@ def _confirmed_rows(d: int, sign: int, lo: int,
     # The guard lets d itself exceed int64 only when hi = 0, where d*w^2 = 0.
     d64 = min(d, INT64_MAX)
     for w in _wheel(d, sign, lo, hi):
-        t = d64 * w * w + sign
-        r = np.rint(np.sqrt(np.maximum(t, 0).astype(np.float64))).astype(np.int64)
-        for ww in w[(np.abs(r * r - t) <= 2) & (t >= 0)].tolist():
+        # t = d*w^2 + sign and |rint(sqrt(t))^2 - t|, in place.  A negative
+        # t (sign < 0 and d*w^2 < -sign) is clipped to 0 for the square root;
+        # the exact check below drops its row.
+        t = np.multiply(w, w)
+        t *= d64
+        t += sign
+        if sign < 0:
+            np.maximum(t, 0, out=t)
+        r = np.sqrt(t)
+        # Round, and store the int64 root over the float one.
+        r = np.rint(r, out=r.view(np.int64), casting="unsafe")
+        r *= r
+        r -= t
+        np.abs(r, out=r)
+        for ww in w[r <= 2].tolist():
             tt = d * ww * ww + sign
-            rr = isqrt(tt)
-            if rr * rr == tt:
-                yield ww, rr
+            if tt >= 0:
+                rr = isqrt(tt)
+                if rr * rr == tt:
+                    yield ww, rr
 
 
 def enumerate_pell(d: int, sign: int, v_bound: int) -> list[PellSolution]:

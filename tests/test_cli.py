@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from pellucas import k3, lattice, pell
+from pellucas import intersection, k3, lattice, pell
 from pellucas.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv, env=None, monkeypatch=None):
@@ -224,3 +230,30 @@ def test_k3_verify_checks_the_matrix_not_only_its_trace(capsys, monkeypatch):
     code, doc, err = run_json(capsys, "k3", "--b", "5", "--n", "2", "--verify")
     assert code == 1 and doc["verify"]["agrees"] is False
     assert "DISAGREEMENT" in err
+
+
+def test_intersect_verify_is_independent_of_the_fast_path(capsys, monkeypatch):
+    system = intersection.PellSystem("minus_minus", 4, 14)
+    want = intersection.brute_force_common(system, 200)
+    # A fast path that builds wrong triples: right x, zero coordinates.
+    monkeypatch.setattr(intersection, "_triple_for_x", lambda system, x: (x, 0, 0))
+    assert intersection.brute_force_common(system, 200) == want
+    code, doc, err = run_json(capsys, "intersect", "--flavor", "mm", "--p1", "4",
+                              "--p2", "14", "--count", "3", "--verify")
+    assert code == 1 and doc["verify"]["agrees"] is False
+    assert doc["verify"]["expected"] == [[str(v) for v in t] for t in want]
+    assert "DISAGREEMENT" in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_result_too_long_to_print_exits_5_with_no_output(fmt):
+    # F_100000 has 20899 digits, past the interpreter's default 4300.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PELLUCAS_")}
+    env.update(PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="4300")
+    out = subprocess.run([sys.executable, "-m", "pellucas.cli", "lucas", "--p",
+                          "1", "--q", "-1", "--n", "100000", "--format", fmt],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 5
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from pellucas import k3
 from pellucas.errors import InvariantError
-from pellucas.k3 import (NotInCorrespondenceError, a_generators, case_a_lattice,
+from pellucas.k3 import (NotInCorrespondenceError, case_a_lattice,
                          case_b_lattice, classify_case_a, classify_case_b,
                          correspondence_from_pair, correspondence_from_pell_y,
                          correspondence_from_term, correspondence_roundtrip,
@@ -31,8 +31,10 @@ def test_rank_of_apparition_minimality():
 
 
 def test_ab_product_is_m_squared():
-    for a in range(1, 10):
-        mat_a, mat_b = a_generators(a)
+    # The involutions A = [[1,0],[a,-1]] and B = [[1,a],[0,-1]] of case (a):
+    # AB = M_a^2 for every a, which classify_case_a relies on.
+    for a in list(range(-50, 51)) + [10 ** 6 + 3, 2 ** 70 + 1, -(3 ** 50)]:
+        mat_a, mat_b = Mat2(1, 0, a, -1), Mat2(1, a, 0, -1)
         assert mat_a @ mat_b == Mat2(1, a, a, a * a + 1) == m_matrix(a) ** 2
 
 

@@ -1,16 +1,18 @@
 import random
+import warnings
 from fractions import Fraction
 from math import isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import numpy as np
 
 from pellucas import oracle
 from pellucas.intersection import PellSystem, brute_force_common
 from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
-from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, _wheel,
+from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, WHEEL_MODULI, _wheel,
                              enumerate_disc_group, enumerate_pell,
                              first_root_in_box, naive_lucas, naive_membership,
                              square_rows, whitney_member_mask)
@@ -160,6 +162,76 @@ def test_int64_guard_raises_before_scanning(monkeypatch):
         enumerate_pell(5, 4, 2 * 10 ** 9)
     with pytest.raises(ValueError, match="int64"):
         whitney_member_mask(5, -4, 2 * 10 ** 9)
+
+
+def test_wheel_without_residues_yields_nothing():
+    # 3*w^2 - 1 is 2 or 3 mod 4 and 2 or 8 mod 9: never a square mod 64.
+    assert list(_wheel(3, -1, 0, 10 ** 6)) == []
+    assert list(square_rows(3, -1, 0, 10 ** 6)) == []
+    assert list(square_rows(3, -1, 0, 3000)) == _squares_in(3, -1, 0, 3000) == []
+
+
+@pytest.mark.parametrize("d, sign", [(5, 4), (5, -4), (2, 1), (2, -1), (8, 4),
+                                     (13, -4)])
+def test_square_rows_unaligned_edges(d, sign):
+    # Ranges that stop one row short of a square, or start one row past it,
+    # at widths around the wheel sizes 64, 64*9 and 64*9*5 (moduli that
+    # reject nothing are skipped, so the wheel itself varies with d).
+    roots = [w for w, _ in _squares_in(d, sign, 0, 40000) if w >= 2]
+    assert len(roots) >= 4
+    for s in roots:
+        for width in (0, 1, 5, 63, 64, 65, 575, 577, 2879, 2881):
+            for lo, hi in ((s + 1, s + 1 + width), (max(0, s - 1 - width), s - 1),
+                           (max(0, s - width // 2), s + width // 2)):
+                got = list(square_rows(d, sign, lo, hi))
+                assert got == _squares_in(d, sign, lo, hi), (lo, hi)
+
+
+def test_negative_rows_raise_no_warning():
+    # d*w^2 + sign < 0 for the first rows; t = 0 is a square (w = 3, d = 1).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d, sign in ((1, -9), (5, -4), (2, -7), (3, -100)):
+            for hi in (0, 1, 10, 70, 5000):
+                assert list(square_rows(d, sign, 0, hi)) == \
+                    _squares_in(d, sign, 0, hi)
+        assert list(square_rows(1, -9, 0, 3)) == [(3, 0)]
+
+
+def _modular_survivors(d, sign, lo, hi):
+    """Reference: the w in [lo, hi] that _wheel keeps, by testing each w
+    against the moduli that a wheel over [lo, hi] uses."""
+    w = np.arange(lo, hi + 1, dtype=np.int64)
+    keep = np.ones(len(w), dtype=bool)
+    wheel = 1
+    for m in WHEEL_MODULI:
+        if wheel * m > hi - lo + 1:
+            break
+        squares = np.zeros(m, dtype=bool)
+        squares[[x * x % m for x in range(m)]] = True
+        if squares[[(d * a * a + sign) % m for a in range(m)]].all():
+            continue
+        keep &= squares[(d * (w % m) ** 2 + sign) % m]
+        wheel *= m
+    return w[keep].tolist()
+
+
+def test_wheel_splits_turns_longer_than_a_chunk():
+    # Over [1234567, 35355339] the wheel is 64*9*5*7*11*13 = 2882880 long and
+    # keeps 70560 residues of 8*w^2 + 4 per turn, more than one chunk holds.
+    lo, hi = 1234567, 35355339
+    chunks = []
+    for chunk in _wheel(8, 4, lo, hi):
+        chunks.append(chunk.tolist())
+        if len(chunks) == 5:
+            break
+    for values in chunks:
+        assert 0 < len(values) <= WHEEL_CHUNK
+        assert all(a < b for a, b in zip(values, values[1:]))
+    assert max(len(values) for values in chunks) > WHEEL_CHUNK // 2
+    # Contiguous: together the chunks are every survivor up to the last one.
+    seen = [w for values in chunks for w in values]
+    assert seen == _modular_survivors(8, 4, lo, seen[-1])
 
 
 # --- discriminant group -------------------------------------------------------
