@@ -8,17 +8,23 @@ invocation with keys {command, inputs, result, verify, version}; every
 integer is serialized as a decimal string because results outgrow 64 bits
 quickly.
 
+Integers of any size cross the boundary both ways: _int_to_str and
+_parse_int convert past the interpreter's int/str digit limit without
+changing it.
+
 Exit codes: 0 success, 1 verification disagreement, 2 usage error,
 3 unsolvable equation when a solution was demanded, 4 search cap exceeded,
-5 a result has more digits than the interpreter converts to text (nothing
-is printed to stdout then).
+5 a result that still cannot be converted to text (nothing is printed to
+stdout then).
 """
 
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
+import re
 import sys
 import time
 import warnings
@@ -49,6 +55,90 @@ def _env_default(name: str, fallback=None, cast=str):
     return cast(raw)
 
 
+# Every int of at most this many bits or decimal digits converts by plain
+# str()/int(): 2000 bits are 603 digits, and the interpreter's limit cannot
+# be set below 640 digits (sys.int_info.str_digits_check_threshold).
+_PLAIN_BITS = 2000
+_PLAIN_DIGITS = 600
+
+
+def _int_to_str(n: int) -> str:
+    """str(n) at any size, without touching the interpreter's digit limit.
+
+    Past _PLAIN_BITS the number is split by powers of two, and the halves
+    are joined in decimal, whose multiplication is libmpdec's
+    number-theoretic transform, under a local context that is exact at any
+    size (as CPython 3.12's Lib/_pylong.py does).
+    """
+    if n.bit_length() <= _PLAIN_BITS:
+        return str(n)
+    powers = {}
+
+    def two_to(w):
+        if w not in powers:
+            powers[w] = (decimal.Decimal(2) ** w if w <= _PLAIN_BITS
+                         else two_to(w >> 1) * two_to(w - (w >> 1)))
+        return powers[w]
+
+    def join(n, w):
+        if w <= _PLAIN_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return join(n - (hi << half), half) + join(hi, w - half) * two_to(half)
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                            Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
+    with decimal.localcontext(exact):
+        digits = str(join(abs(n), n.bit_length()))
+    return "-" + digits if n < 0 else digits
+
+
+def _parse_int(text: str) -> int:
+    """int(text) at any length, without touching the interpreter's digit
+    limit.  Past _PLAIN_DIGITS, text must be ASCII digits with an optional
+    sign; they are split in halves, which are joined with int products."""
+    match = (re.fullmatch(r"\s*([+-]?)([0-9]+)\s*", text)
+             if len(text) > _PLAIN_DIGITS else None)
+    if match is None:
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text[:_PLAIN_DIGITS]!r}") from None
+    sign, digits = match.groups()
+
+    def join(a, b):
+        if b - a <= _PLAIN_DIGITS:
+            return int(digits[a:b])
+        mid = (a + b) // 2
+        return join(a, mid) * 10 ** (b - mid) + join(mid, b)
+
+    value = join(0, len(digits))
+    return -value if sign == "-" else value
+
+
+class _Digits(str):
+    """Decimal digits that show without quotes inside a container's repr."""
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+def _plain(obj):
+    """obj for plain output: every int, also inside lists, tuples and dicts,
+    becomes its _Digits."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return _Digits(_int_to_str(obj))
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_plain(v) for v in obj)
+    return obj
+
+
 def _jsonable(obj):
     if is_dataclass(obj):
         return _jsonable(asdict(obj))
@@ -59,7 +149,7 @@ def _jsonable(obj):
     if isinstance(obj, bool) or obj is None:
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        return _int_to_str(obj)
     if isinstance(obj, Fraction):
         return str(obj)
     return obj
@@ -76,17 +166,17 @@ class Record:
         self.started = time.perf_counter()
 
     def render(self, fmt: str) -> str:
-        """The whole output text; ValueError if an integer is too long for
-        str() under the interpreter's digit limit."""
+        """The whole output text; ValueError if a value still cannot be
+        converted to text (a Fraction past the interpreter's digit limit)."""
         if fmt == "structured":
             doc = {"command": self.command, "inputs": _jsonable(self.inputs),
                    "result": _jsonable(self.result),
                    "verify": _jsonable(self.verify), "version": __version__}
             return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        lines = [f"# {self.command} {self.inputs}"]
-        lines += [f"{key}: {value}" for key, value in self.result.items()]
+        lines = [f"# {self.command} {_plain(self.inputs)}"]
+        lines += [f"{key}: {_plain(value)}" for key, value in self.result.items()]
         if self.verify is not None:
-            lines.append(f"verify: {self.verify}")
+            lines.append(f"verify: {_plain(self.verify)}")
         lines.append(f"elapsed: {time.perf_counter() - self.started:.3f}s")
         return "\n".join(lines) + "\n"
 
@@ -272,9 +362,15 @@ def cmd_intersect(args, rec: Record) -> int:
     if args.verify:
         top = max((s[0] for s in result.solutions), default=2)
         bound = min(top, args.bound)
-        expect = [list(t) for t in ix.brute_force_common(system, bound)]
+        if flavor == "opposite_signs":
+            # The fast path of this flavor is brute_force_common itself.
+            name, expect = "pell_units", oracle.common_from_units(system, bound)
+        else:
+            name, expect = ("brute_force_common",
+                            ix.brute_force_common(system, bound))
+        expect = [list(t) for t in expect]
         got = [list(t) for t in result.solutions if t[0] <= bound]
-        rec.verify = {"oracle": "brute_force_common", "agrees": got == expect,
+        rec.verify = {"oracle": name, "agrees": got == expect,
                       "expected": expect, "bound": bound}
     return EXIT_OK
 
@@ -285,10 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env_default("format", "plain"))
     common.add_argument("--verify", action="store_true",
                         default=_env_default("verify", False, bool))
-    common.add_argument("--cap", type=int,
+    common.add_argument("--cap", type=_parse_int,
                         default=_env_default("cap", ix.DEFAULT_CAP, int),
                         help="search cap for trace matching")
-    common.add_argument("--bound", type=int,
+    common.add_argument("--bound", type=_parse_int,
                         default=_env_default("bound", 10 ** 6, int),
                         help="enumeration bound used by --verify")
 
@@ -296,48 +392,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lucas", parents=[common])
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=_parse_int)
+    p.add_argument("--q", type=_parse_int)
+    p.add_argument("--a", type=_parse_int)
+    p.add_argument("--b", type=_parse_int)
+    p.add_argument("--n", type=_parse_int)
     p.add_argument("--range")
     p.set_defaults(func=cmd_lucas)
 
     p = sub.add_parser("pell", parents=[common])
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_parse_int, required=True)
     p.add_argument("--sign", type=lambda s: int(s.replace("+", "")),
                    choices=(4, -4), default=4)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_parse_int, default=1)
     p.add_argument("--require-solution", action="store_true")
     p.set_defaults(func=cmd_pell)
 
     p = sub.add_parser("member", parents=[common])
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    p.add_argument("--value", type=_parse_int, required=True)
+    p.add_argument("--a", type=_parse_int)
+    p.add_argument("--b", type=_parse_int)
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("lattice", parents=[common])
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
+    p.add_argument("--a", type=_parse_int, required=True)
+    p.add_argument("--b", type=_parse_int, required=True)
+    p.add_argument("--c", type=_parse_int, required=True)
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("k3", parents=[common])
-    p.add_argument("--m", type=int)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--m", type=_parse_int)
+    p.add_argument("--a", type=_parse_int)
+    p.add_argument("--b", type=_parse_int)
+    p.add_argument("--n", type=_parse_int, default=1)
     p.set_defaults(func=cmd_k3)
 
     p = sub.add_parser("intersect", parents=[common])
     p.add_argument("--flavor", required=True,
                    choices=("++", "--", "mm", "+-", "pm", "opp") + ix.FLAVORS)
-    p.add_argument("--p1", type=int, required=True)
-    p.add_argument("--p2", type=int, required=True)
-    p.add_argument("--count", type=int, default=5)
-    p.add_argument("--x-bound", type=int)
+    p.add_argument("--p1", type=_parse_int, required=True)
+    p.add_argument("--p2", type=_parse_int, required=True)
+    p.add_argument("--count", type=_parse_int, default=5)
+    p.add_argument("--x-bound", type=_parse_int)
     p.set_defaults(func=cmd_intersect)
     return parser
 

@@ -18,7 +18,8 @@ from typing import Iterator, Optional
 
 from .errors import InvariantError
 from .lucas import LucasParams, Mat2, SeqTerm
-from .pell import MembershipVerdict, PellSolution
+from .pell import (MembershipVerdict, PellProblem, PellSolution,
+                   fundamental_solution, solutions_iter)
 
 INT64_MAX = 2 ** 63 - 1
 # Square sieve moduli (Cohen, GTM 138, Alg. 1.7.3), pairwise coprime.
@@ -136,6 +137,43 @@ def enumerate_pell(d: int, sign: int, v_bound: int) -> list[PellSolution]:
     if d <= 0:
         raise ValueError("d must be positive")
     return [PellSolution(u, v, sign) for v, u in square_rows(d, sign, 0, v_bound)]
+
+
+def _solutions_to(d: int, sign: int, x_bound: int) -> dict[int, int]:
+    """{x: y} over the solutions of x^2 - d y^2 = sign with 2 <= x <= x_bound,
+    from the powers of the fundamental solution (``pell.solutions_iter``)
+    and, for +4, the trivial (2, 0)."""
+    found = {2: 0} if sign == 4 and x_bound >= 2 else {}
+    problem = PellProblem(d, sign)
+    if fundamental_solution(problem) is None:
+        return found
+    count = 1
+    while True:
+        sols = solutions_iter(problem, count)
+        # A square d has one solution only.
+        if sols[-1].u > x_bound or len(sols) < count:
+            break
+        count *= 2
+    found.update((s.u, s.v) for s in sols if 2 <= s.u <= x_bound)
+    return found
+
+
+def common_from_units(system, x_bound: int) -> list[tuple[int, int, int]]:
+    """All (x, y, z) with 2 <= x <= x_bound of a ``PellSystem``, from units.
+
+    For each sign pairing, the x-values of the two equations' solutions up
+    to x_bound are intersected; no square search is involved, so this
+    checks ``intersection.brute_force_common``.  As there, an x that solves
+    two sign pairings takes the first pairing, in the order of ``signs1``.
+    """
+    out = {}
+    for s1 in system.signs1:
+        for s2 in system.signs2_for(s1):
+            first = _solutions_to(system.d1, s1, x_bound)
+            second = _solutions_to(system.d2, s2, x_bound)
+            for x in first.keys() & second.keys():
+                out.setdefault(x, (x, first[x], second[x]))
+    return [out[x] for x in sorted(out)]
 
 
 def naive_membership(value: int, flavor: str, param: int,

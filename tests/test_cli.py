@@ -1,14 +1,19 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pellucas import intersection, k3, lattice, pell
-from pellucas.cli import main
+from pellucas.cli import _int_to_str, _parse_int, main
+from pellucas.lucas import LucasParams, gen_fib_a, lucas_uv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -245,15 +250,113 @@ def test_intersect_verify_is_independent_of_the_fast_path(capsys, monkeypatch):
     assert "DISAGREEMENT" in err
 
 
-@pytest.mark.parametrize("fmt", ["plain", "structured"])
-def test_result_too_long_to_print_exits_5_with_no_output(fmt):
-    # F_100000 has 20899 digits, past the interpreter's default 4300.
+def test_intersect_verify_is_independent_on_opposite_signs(capsys, monkeypatch):
+    argv = ("intersect", "--flavor", "opp", "--p1", "1", "--p2", "3",
+            "--x-bound", "1000", "--verify")
+    code, doc, _ = run_json(capsys, *argv)
+    assert code == 0 and doc["verify"]["agrees"] is True
+    assert doc["verify"]["oracle"] == "pell_units"
+    assert doc["result"]["solutions"] == [["3", "1", "1"], ["11", "5", "3"]]
+    # The fast path of this flavor is the square search: drop its first triple.
+    true_search = intersection.brute_force_common
+    monkeypatch.setattr(intersection, "brute_force_common",
+                        lambda system, x_bound: true_search(system, x_bound)[1:])
+    code, doc, err = run_json(capsys, *argv)
+    assert code == 1 and doc["verify"]["agrees"] is False
+    assert doc["verify"]["expected"] == [["3", "1", "1"], ["11", "5", "3"]]
+    assert "DISAGREEMENT" in err
+
+
+def _pellucas(*argv):
+    """``pellucas <argv>`` as a subprocess under the default digit limit."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PELLUCAS_")}
     env.update(PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="4300")
-    out = subprocess.run([sys.executable, "-m", "pellucas.cli", "lucas", "--p",
-                          "1", "--q", "-1", "--n", "100000", "--format", fmt],
-                         capture_output=True, text=True, env=env, timeout=60)
-    assert out.returncode == 5
-    assert out.stdout == ""
-    assert "Traceback" not in out.stderr
-    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    return subprocess.run([sys.executable, "-m", "pellucas.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@contextmanager
+def _no_digit_limit():
+    """Lift the int/str digit limit inside a test, to check printed values
+    with plain int()."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+def test_result_past_the_digit_limit_prints_in_full(fmt):
+    # F_100000 has 20899 digits, past the interpreter's default 4300.
+    out = _pellucas("lucas", "--p", "1", "--q", "-1", "--n", "100000",
+                    "--format", fmt)
+    assert out.returncode == 0 and out.stderr == ""
+    if fmt == "plain":
+        line = next(l for l in out.stdout.splitlines() if l.startswith("u: "))
+        printed = line[len("u: ["):-1]
+    else:
+        printed = json.loads(out.stdout)["result"]["u"][0]
+    with _no_digit_limit():
+        assert int(printed) == lucas_uv(LucasParams(1, -1), 100000).u
+
+
+def test_big_values_cross_the_cli_boundary():
+    with _no_digit_limit():
+        out = _pellucas("pell", "--d", "999999937", "--format", "structured")
+        assert out.returncode == 0, out.stderr
+        fund = json.loads(out.stdout)["result"]["fundamental"]
+        want = pell.fundamental_solution(pell.PellProblem(999999937, 4))
+        assert (int(fund["u"]), int(fund["v"])) == (want.u, want.v)
+        assert want.v.bit_length() > 14300  # past 4300 digits
+
+        out = _pellucas("k3", "--b", "5", "--n", "20000", "--format", "structured")
+        assert out.returncode == 0, out.stderr
+        trace = json.loads(out.stdout)["result"]["trace"]
+        assert int(trace) == k3.classify_case_b(5, 20000).action.trace
+
+        # a_n passes 4300 digits at n = 20 577; the whole range 1..100000
+        # would print about 10^9 digits.
+        out = _pellucas("lucas", "--a", "1", "--range", "20500..20700",
+                        "--format", "structured")
+        assert out.returncode == 0, out.stderr
+        terms = json.loads(out.stdout)["result"]["terms"]
+        assert [int(t) for t in terms] == [gen_fib_a(1, n)
+                                           for n in range(20500, 20701)]
+
+        # Input: a_30000 has 6270 digits.
+        value = gen_fib_a(1, 30000)
+        out = _pellucas("member", "--a", "1", "--value", str(value),
+                        "--format", "structured")
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        assert int(doc["inputs"]["value"]) == value
+        assert doc["result"]["is_member"] is True
+        assert doc["result"]["index"] == "30000"
+        witness = lucas_uv(LucasParams(1, -1), 30000).v
+        assert int(doc["result"]["square_witness"]) == witness
+
+
+@given(st.integers(10 ** 3, 2 * 10 ** 6), st.integers(0, 2 ** 32), st.booleans())
+@example(2001, 0, False)    # the first size past plain str()
+@example(2 * 10 ** 6, 1, True)
+@settings(max_examples=8, deadline=None)
+def test_int_text_round_trip(bits, seed, negative):
+    n = random.Random(seed).getrandbits(bits) | 1 << (bits - 1)
+    n = -n if negative else n
+    text = _int_to_str(n)
+    assert _parse_int(text) == n
+    assert _parse_int(f" +{text} " if n > 0 else f" {text} ") == n
+    tail = str(abs(n) % 10 ** 600).zfill(600)
+    assert text.lstrip("-")[-600:].zfill(600) == tail
+    if bits <= 3 * 10 ** 5:  # str() is quadratic: 7 s at 2 Mbit
+        with _no_digit_limit():
+            assert text == str(n)
+
+
+def test_parse_int_rejects_what_int_rejects(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["member", "--a", "1", "--value", "1" * 5000 + "x"])
+    assert err.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err

@@ -5,6 +5,7 @@ from pellucas.intersection import (PellSystem, SearchCapExceeded,
                                    common_lucas_params, intersect,
                                    minimal_trace_match, square_product_test)
 from pellucas.lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
+from pellucas.oracle import common_from_units
 
 
 def test_square_product_examples():
@@ -65,6 +66,18 @@ def test_brute_force_paths_agree():
                    PellSystem("mixed", 1, 7),
                    PellSystem("opposite_signs", 1, 3)):
         assert brute_force_common(system, 150_000) == _walk(system, 150_000)
+
+
+def test_unit_oracle_agrees_with_brute_force_on_opposite_signs():
+    # The --verify oracle of the opposite_signs flavor, whose fast path is
+    # brute_force_common itself; p = 2 gives d = 8 and the point x = 2.
+    for p1 in range(1, 13):
+        for p2 in range(1, 13):
+            if p1 != p2:
+                system = PellSystem("opposite_signs", p1, p2)
+                for x_bound in (2, 10, 100_000):
+                    assert (common_from_units(system, x_bound)
+                            == brute_force_common(system, x_bound)), system
 
 
 def test_brute_force_huge_p_small_bound():

@@ -1,12 +1,17 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pellucas.lucas import (_TOOM_CUTOFF, LucasParams, Mat2, _square,
-                            companion_power, gen_fib_a, gen_fib_b, lucas_uv,
-                            m_matrix, n_matrix)
+from pellucas.errors import InvariantError
+from pellucas.lucas import (_FFT_HI, _FFT_LO, _TOOM_CUTOFF, LucasParams, Mat2,
+                            _square, companion_power, gen_fib_a, gen_fib_b,
+                            lucas_uv, m_matrix, n_matrix)
 from pellucas.oracle import naive_lucas
 
 
@@ -226,3 +231,101 @@ def test_lucas_uv_squaring_regime_property(p, q, n):
     t = lucas_uv(params, n)
     assert t.v.bit_length() >= 4 * _TOOM_CUTOFF
     assert (t.u, t.v) == _matrix_uv(params, n)
+
+
+# --- FFT leaf ------------------------------------------------------------------
+
+@given(st.one_of(st.sampled_from((_FFT_LO, _FFT_HI)).flatmap(
+                     lambda edge: st.integers(edge - 3, edge + 3)),
+                 st.integers(10 ** 6, 2 * 10 ** 6)),
+       st.integers(0, 2 ** 32), st.sampled_from(_SHAPES), st.booleans())
+@example(_FFT_LO - 1, 0, "ones", False)   # the last Toom-3 size below the leaf
+@example(_FFT_HI + 1, 0, "ones", True)    # Toom-3 above the leaf
+@example(2 * 10 ** 6, 5, "random", True)  # Toom-3 twice, then FFT leaves
+@settings(max_examples=20, deadline=None)
+def test_square_at_the_fft_bounds(bits, seed, shape, negative):
+    x = _shaped(bits, seed, shape)
+    x = -x if negative else x
+    assert _square(x) == x * x
+
+
+def test_fft_square_of_all_ff_bytes_at_the_cap():
+    # Every byte 0xFF makes every convolution coefficient as large as the cap
+    # allows: the middle one is 65 500 * 255^2, past 2^32.
+    x = (1 << _FFT_HI) - 1
+    assert x.to_bytes(_FFT_HI // 8, "little") == b"\xff" * (_FFT_HI // 8)
+    assert _square(x) == x * x
+
+
+def _uv_mod(params, n, prime):
+    """(U_n, V_n) mod prime from [[p, -q], [1, 0]]^n, square and multiply."""
+    def mul(a, b):
+        return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(2)) % prime
+                           for j in range(2)) for i in range(2))
+    result, base = ((1, 0), (0, 1)), ((params.p, -params.q), (1, 0))
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    u = result[1][0]
+    return u, (2 * result[0][0] - params.p * u) % prime
+
+
+@pytest.mark.parametrize("p, q, n", [(1, -1, 10 ** 6 + 3), (4, 1, 10 ** 6 - 7)])
+def test_lucas_uv_near_a_million_in_the_fft_regime(p, q, n):
+    params = LucasParams(p, q)
+    t = lucas_uv(params, n)
+    # V_n was squared from half its size, so the FFT leaf ran; for (4, 1) the
+    # last squares (950 kbit) took a Toom-3 step first.
+    assert t.v.bit_length() > 2 * _FFT_LO
+    assert t.v * t.v - params.discriminant * t.u * t.u == 4 * q ** n
+    prime = (1 << 89) - 1
+    assert (t.u % prime, t.v % prime) == _uv_mod(params, n, prime)
+
+
+def _patch_irfft(monkeypatch, delta):
+    """Make the FFT leaf's inverse transform add delta to coefficient 0."""
+    true_irfft = np.fft.irfft
+
+    def wrong_irfft(*args, **kwargs):
+        out = true_irfft(*args, **kwargs)
+        out[0] += delta
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", wrong_irfft)
+
+
+@pytest.mark.parametrize("delta, guard", [(0.5, "away from an integer"),
+                                          (1.0, "check modulo")])
+def test_fft_guards_raise(monkeypatch, delta, guard):
+    # Half a unit fails the rounding-distance check; a whole unit rounds
+    # cleanly to a wrong integer and fails the residue check.
+    _patch_irfft(monkeypatch, delta)
+    x = _shaped(2 * _FFT_LO, 1, "random")
+    with pytest.raises(InvariantError, match=guard):
+        _square(x)
+
+
+def test_fft_guards_raise_under_python_O():
+    # -O strips assert statements; the guards must not depend on them.
+    code = """
+import numpy as np
+from pellucas.errors import InvariantError
+from pellucas.lucas import _FFT_LO, _square
+true_irfft = np.fft.irfft
+for delta in (0.5, 1.0):
+    def wrong_irfft(*args, delta=delta, **kwargs):
+        out = true_irfft(*args, **kwargs)
+        out[0] += delta
+        return out
+    np.fft.irfft = wrong_irfft
+    try:
+        _square((1 << 2 * _FFT_LO) - 12345)
+    except InvariantError:
+        print("raised")
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, timeout=120, env={"PYTHONPATH": str(src)})
+    assert out.stdout.split() == ["raised", "raised"], out.stderr
