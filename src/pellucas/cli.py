@@ -14,8 +14,8 @@ changing it.
 
 Exit codes: 0 success, 1 verification disagreement, 2 usage error,
 3 unsolvable equation when a solution was demanded, 4 search cap exceeded,
-5 a result that still cannot be converted to text (nothing is printed to
-stdout then).
+6 a failed internal invariant (InvariantError; nothing is printed to stdout
+then).
 """
 
 from __future__ import annotations
@@ -29,12 +29,11 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 
 from . import __version__
 from . import intersection as ix
 from . import k3, lattice as lat, lucas, oracle, pell
-from .errors import SearchCapExceeded
+from .errors import InvariantError, SearchCapExceeded
 
 ENV_PREFIX = "PELLUCAS_"
 
@@ -43,7 +42,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSOLVABLE = 3
 EXIT_CAP = 4
-EXIT_TOO_LONG = 5
+EXIT_INVARIANT = 6
 
 
 def _env_default(name: str, fallback=None, cast=str):
@@ -150,8 +149,6 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, int):
         return _int_to_str(obj)
-    if isinstance(obj, Fraction):
-        return str(obj)
     return obj
 
 
@@ -166,8 +163,7 @@ class Record:
         self.started = time.perf_counter()
 
     def render(self, fmt: str) -> str:
-        """The whole output text; ValueError if a value still cannot be
-        converted to text (a Fraction past the interpreter's digit limit)."""
+        """The whole output text."""
         if fmt == "structured":
             doc = {"command": self.command, "inputs": _jsonable(self.inputs),
                    "result": _jsonable(self.result),
@@ -468,19 +464,15 @@ def main(argv=None) -> int:
     except SearchCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP
+    except InvariantError as err:
+        print(f"error: internal invariant failed: {err}", file=sys.stderr)
+        return EXIT_INVARIANT
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     if code not in (EXIT_OK, EXIT_UNSOLVABLE):
         return code
-    try:
-        text = rec.render(args.format)
-    except ValueError:
-        print("error: a result has more digits than this interpreter converts "
-              "to text; set PYTHONINTMAXSTRDIGITS=0 to lift the limit",
-              file=sys.stderr)
-        return EXIT_TOO_LONG
-    sys.stdout.write(text)
+    sys.stdout.write(rec.render(args.format))
     return code if code != EXIT_OK else rec.check_verify()
 
 

@@ -25,6 +25,10 @@ INT64_MAX = 2 ** 63 - 1
 # Square sieve moduli (Cohen, GTM 138, Alg. 1.7.3), pairwise coprime.
 WHEEL_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
 WHEEL_CHUNK = 1 << 16
+# Rows a residue of the wheel must save to be worth building: building the
+# residue list (Garner steps and a sort) costs about this many scanned rows
+# per residue.
+WHEEL_RESIDUE_COST = 2
 # The squares modulo each wheel modulus; they do not depend on the input.
 _SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in WHEEL_MODULI}
 
@@ -48,15 +52,19 @@ def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
 
     A square stays a square mod m, so no w with d*w^2 + sign a perfect square
     is dropped (Cohen, GTM 138, Alg. 1.7.3).  Moduli that reject no residue
-    are skipped, and none is added once the wheel would outgrow [lo, hi].
+    are skipped.  A modulus m that keeps k residues multiplies the residue
+    list by k and the rows left to scan by k/m, so none is added once the
+    rows it would save are fewer than WHEEL_RESIDUE_COST times the residues
+    it would build, or once the wheel would outgrow [lo, hi].
     A chunk is whole wheel turns, turn start + residue by broadcasting, or a
     slice of one turn when a turn keeps more than 2^16 residues; only the
     first and the last turn are trimmed to [lo, hi].
     """
     import numpy as np
+    rows = hi - lo + 1
     wheel, residues = 1, np.zeros(1, dtype=np.int64)
     for m in WHEEL_MODULI:
-        if wheel * m > hi - lo + 1:
+        if wheel * m > rows:
             break
         squares, dm, sm = _SQUARES[m], d % m, sign % m
         keep = [a for a in range(m) if (dm * a * a + sm) % m in squares]
@@ -64,6 +72,10 @@ def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
             return
         if len(keep) == m:
             continue
+        # Per residue of the wheel so far: rows * (m - k) / (wheel * m) rows
+        # saved against k residues built.
+        if rows * (m - len(keep)) < WHEEL_RESIDUE_COST * wheel * m * len(keep):
+            break
         # Garner's step: r + wheel*((a - r) * wheel^-1 mod m) is r mod wheel
         # and a mod m, and never exceeds wheel*m.
         lift = ((np.array(keep, dtype=np.int64)[None, :]

@@ -1,10 +1,16 @@
 """Exact solver for the Pell equations x^2 - d y^2 = +-4.
 
 The fundamental solution is the fundamental unit of the quadratic order of
-discriminant d (or 4d), read off one period of a continued fraction whose
-walk keeps only small integers; the convergents come from a balanced
-product tree.  Odd solutions (d = 5 mod 8) come out directly.  Everything is
-integer arithmetic.
+discriminant d (or 4d), read off half a period of a continued fraction
+whose walk keeps only small integers.  The period's quotients after the
+first are a palindrome, so the walk stops at its centre, where P or Q
+repeats; the parity of the period is known there, and -4 on an even period
+is answered None at once.  The product H of the first half's matrices comes
+from a balanced product tree, and the whole period's convergents are the
+first row of H H^T (odd period) or H [[a, 1], [1, 0]] H^T (even period, a
+the middle quotient).  The unit is checked modulo 2^61 - 1 before it is
+returned, and a failed check raises InvariantError.  Odd solutions
+(d = 5 mod 8) come out directly.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ from math import isqrt, log
 from typing import Optional
 
 from .errors import InvariantError
-from .lucas import LucasParams, SeqTerm, lucas_uv, mat2_product
+from .lucas import (_CHECK_MODULUS, LucasParams, SeqTerm, _mod_m61, _square,
+                    lucas_uv, mat2_product)
 
 # Partial quotients collapsed into one small-integer leaf of the product tree.
 _LEAF = 16
@@ -72,56 +79,79 @@ def compose(d: int, s1: PellSolution, s2: PellSolution) -> PellSolution:
     return PellSolution(un // 2, vn // 2, s1.sign * s2.sign // 4)
 
 
-def _period(d: int) -> tuple[int, list[int]]:
-    """b and the partial quotients of one period of w = (b + sqrt(D))/2.
+def _half_period(d: int) -> tuple[int, list[int], Optional[int]]:
+    """b, the quotients a_1..a_m of the first half of the period of
+    w = (b + sqrt(D))/2, and its middle quotient a_{m+1}, or None when the
+    period l is odd.
 
     D = d when d = 0, 1 (mod 4), and D = 4d otherwise; d is nonsquare, and b
     is the largest integer below sqrt(D) with b = D (mod 2).  The continued
-    fraction of w is purely periodic.  Its complete quotients are
-    (P + sqrt(D))/Q with small integers P, Q, and the period ends when
-    (P, Q) returns to (b, 2).
+    fraction [a_0; a_1, ..., a_{l-1}] of w is purely periodic, and a_1..a_{l-1}
+    is a palindrome because the principal cycle is symmetric.  The complete
+    quotients are (P_i + sqrt(D))/Q_i with small integers P, Q, and after
+    the first quotient the walk stops at the centre of the palindrome: at the
+    first step with P_{i+1} = P_i, which marks l = 2m + 2 with a_i the middle
+    quotient, or with Q_{i+1} = Q_i, which marks l = 2m + 1.  Period 1
+    returns (P, Q) to (b, 2) after one step.
     """
     big_d = d if d % 4 < 2 else 4 * d
     s = isqrt(big_d)
     b = s - (s - big_d) % 2
     # Q_{i+1} = Q_{i-1} + a_i (P_i - P_{i+1}) follows from
     # Q_i Q_{i+1} = D - P_{i+1}^2 and needs no division; Q_{-1} = (D - b^2)/2.
-    p, q, q_prev = b, 2, (big_d - b * b) // 2
-    quotients = []
+    a = (b + s) // 2
+    p = 2 * a - b
+    q, q_prev = (big_d - b * b) // 2 + a * (b - p), 2
+    half = []
+    if q == 2:
+        return b, half, None
     while True:
         a = (p + s) // q
-        quotients.append(a)
-        p, p_prev = a * q - p, p
-        q, q_prev = q_prev + a * (p_prev - p), q
-        if q == 2 and p == b:
-            return b, quotients
+        p_next = a * q - p
+        if p_next == p:
+            return b, half, a
+        half.append(a)
+        q_next = q_prev + a * (p - p_next)
+        if q_next == q:
+            return b, half, None
+        p, q, q_prev = p_next, q_next, q
 
 
-def _fundamental_unit(d: int, b: int, quotients: list[int]) -> tuple[int, int]:
-    """Smallest (u, v), u, v > 0, with u^2 - d v^2 = 4 (-1)^l, from the period
-    (b, quotients) = _period(d) of length l.
+def _fundamental_unit(d: int, b: int, half: list[int],
+                      middle: Optional[int]) -> tuple[int, int]:
+    """Smallest (u, v), u, v > 0, with u^2 - d v^2 = 4 (-1)^l, from
+    (b, half, middle) = _half_period(d), or InvariantError.
 
     This is the fundamental unit (u + v sqrt(D))/2 of the quadratic order of
     discriminant D (where u and v are forced to be even when D = 4d).  The
-    product of the [[a_i, 1], [1, 0]] has bottom row (q_{l-1}, q_{l-2}), and
-    q_{l-1} w + q_{l-2} is the unit, of norm (-1)^l.
+    product of the [[a_i, 1], [1, 0]] over the whole period has bottom row
+    (q_{l-1}, q_{l-2}), and q_{l-1} w + q_{l-2} is the unit, of norm (-1)^l.
+    That row is the first row of the product over a_1..a_{l-1}, which by the
+    palindrome is H H^T (odd l) or H [[a_{m+1}, 1], [1, 0]] H^T (even l), H
+    the product over a_1..a_m.  A wrong centre would give a wrong unit, so
+    u^2 - d v^2 is checked modulo 2^61 - 1 before the unit is returned.
     """
-    # Only the bottom row, (0, 1) times the product, is needed: run it through
-    # the first quotients, then multiply by the tree of the remaining leaves.
-    v, w = 0, 1
-    for a in quotients[:_LEAF]:
-        v, w = a * v + w, v
     leaves = []
-    for i in range(_LEAF, len(quotients), _LEAF):
+    for i in range(0, len(half), _LEAF):
         e, f, g, h = 1, 0, 0, 1
-        for a in quotients[i:i + _LEAF]:
+        for a in half[i:i + _LEAF]:
             e, f, g, h = a * e + f, e, a * g + h, g
         leaves.append((e, f, g, h))
     e, f, g, h = mat2_product(leaves)
-    v, w = v * e + w * g, v * f + w * h
+    if middle is None:
+        v, w, norm = _square(e) + _square(f), e * g + f * h, -4
+    else:
+        x = middle * e + f
+        v, w, norm = e * (x + f), x * g + e * h, 4
     u = b * v + 2 * w
     # (u + v sqrt(4d))/2 = (u + 2v sqrt(d))/2 when D = 4d.
-    return (u, v) if d % 4 < 2 else (u, 2 * v)
+    if d % 4 > 1:
+        v *= 2
+    um, vm = _mod_m61(u), _mod_m61(v)
+    if (um * um - d % _CHECK_MODULUS * vm * vm - norm) % _CHECK_MODULUS:
+        raise InvariantError(f"half-period unit of d = {d} fails its norm "
+                             f"check modulo 2^61 - 1")
+    return u, v
 
 
 def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
@@ -129,7 +159,7 @@ def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
 
     For square d and sign +4 the only solution is (2, 0).  For nonsquare d,
     u^2 - d v^2 = -4 is solvable exactly when the period is odd, so an even
-    period answers None before any convergent is built.
+    period answers None after half a walk, before any convergent is built.
     """
     d, sign = problem.d, problem.sign
     s = isqrt_exact(d)
@@ -142,14 +172,15 @@ def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
         if d == 4:
             return PellSolution(0, 1, -4)
         return None
-    b, quotients = _period(d)
-    norm = -1 if len(quotients) % 2 else 1
-    if sign == -4 and norm == 1:
+    b, half, middle = _half_period(d)
+    if sign == -4 and middle is not None:
         return None
-    u, v = _fundamental_unit(d, b, quotients)
-    unit = PellSolution(u, v, 4 * norm)
-    # Here sign = -4 implies norm = -1; a unit of norm -1 squares to the +4 one.
-    return unit if sign == -4 or norm == 1 else compose(d, unit, unit)
+    u, v = _fundamental_unit(d, b, half, middle)
+    if middle is not None or sign == -4:
+        return PellSolution(u, v, sign)
+    # The unit of norm -1 squares to the +4 one, ((u^2 + d v^2)/2, u v), and
+    # d v^2 = u^2 + 4.
+    return PellSolution(_square(u) + 2, u * v, 4)
 
 
 def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:

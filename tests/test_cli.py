@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from pellucas import intersection, k3, lattice, pell
 from pellucas.cli import _int_to_str, _parse_int, main
+from pellucas.errors import InvariantError
 from pellucas.lucas import LucasParams, gen_fib_a, lucas_uv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -201,6 +202,16 @@ def test_cycle_cap_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, "lattice", "--a", "-9", "--b", "7", "--c", "6")
     assert code == 4
     assert "step cap" in err and "Traceback" not in err
+
+
+def test_invariant_error_exit_6(capsys, monkeypatch):
+    def broken(problem):
+        raise InvariantError("unit fails its norm check")
+
+    monkeypatch.setattr(pell, "fundamental_solution", broken)
+    code, out, err = run(capsys, "pell", "--d", "13")
+    assert code == 6 and out == ""
+    assert err == "error: internal invariant failed: unit fails its norm check\n"
 
 
 def test_k3_verify_recomputes_the_action(capsys, monkeypatch):

@@ -12,8 +12,9 @@ from pellucas import oracle
 from pellucas.intersection import PellSystem, brute_force_common
 from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
-from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, WHEEL_MODULI, _wheel,
-                             enumerate_disc_group, enumerate_pell,
+from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, WHEEL_MODULI,
+                             WHEEL_RESIDUE_COST, _wheel, enumerate_disc_group,
+                             enumerate_pell,
                              first_root_in_box, naive_lucas, naive_membership,
                              square_rows, whitney_member_mask)
 
@@ -175,12 +176,16 @@ def test_wheel_without_residues_yields_nothing():
                                      (13, -4)])
 def test_square_rows_unaligned_edges(d, sign):
     # Ranges that stop one row short of a square, or start one row past it,
-    # at widths around the wheel sizes 64, 64*9 and 64*9*5 (moduli that
-    # reject nothing are skipped, so the wheel itself varies with d).
+    # at widths around the wheel sizes 64, 64*9 and 64*9*5 and four times
+    # them (moduli that reject nothing are skipped, and a modulus joins the
+    # wheel at a width that depends on how many residues it keeps, so the
+    # wheel itself varies with d).
     roots = [w for w, _ in _squares_in(d, sign, 0, 40000) if w >= 2]
     assert len(roots) >= 4
+    widths = (0, 1, 5, 63, 64, 65, 255, 257, 575, 577, 2303, 2305, 2879,
+              2881, 11519, 11521)
     for s in roots:
-        for width in (0, 1, 5, 63, 64, 65, 575, 577, 2879, 2881):
+        for width in widths:
             for lo, hi in ((s + 1, s + 1 + width), (max(0, s - 1 - width), s - 1),
                            (max(0, s - width // 2), s + width // 2)):
                 got = list(square_rows(d, sign, lo, hi))
@@ -198,19 +203,22 @@ def test_negative_rows_raise_no_warning():
         assert list(square_rows(1, -9, 0, 3)) == [(3, 0)]
 
 
-def _modular_survivors(d, sign, lo, hi):
-    """Reference: the w in [lo, hi] that _wheel keeps, by testing each w
-    against the moduli that a wheel over [lo, hi] uses."""
-    w = np.arange(lo, hi + 1, dtype=np.int64)
+def _modular_survivors(d, sign, lo, hi, top):
+    """Reference: the w in [lo, top] that _wheel keeps over [lo, hi], by
+    testing each w against the moduli that a wheel over [lo, hi] uses."""
+    w = np.arange(lo, top + 1, dtype=np.int64)
     keep = np.ones(len(w), dtype=bool)
-    wheel = 1
+    wheel, rows = 1, hi - lo + 1
     for m in WHEEL_MODULI:
-        if wheel * m > hi - lo + 1:
+        if wheel * m > rows:
             break
         squares = np.zeros(m, dtype=bool)
         squares[[x * x % m for x in range(m)]] = True
-        if squares[[(d * a * a + sign) % m for a in range(m)]].all():
+        kept = int(squares[[(d * a * a + sign) % m for a in range(m)]].sum())
+        if kept == m:
             continue
+        if rows * (m - kept) < WHEEL_RESIDUE_COST * wheel * m * kept:
+            break
         keep &= squares[(d * (w % m) ** 2 + sign) % m]
         wheel *= m
     return w[keep].tolist()
@@ -231,7 +239,7 @@ def test_wheel_splits_turns_longer_than_a_chunk():
     assert max(len(values) for values in chunks) > WHEEL_CHUNK // 2
     # Contiguous: together the chunks are every survivor up to the last one.
     seen = [w for values in chunks for w in values]
-    assert seen == _modular_survivors(8, 4, lo, seen[-1])
+    assert seen == _modular_survivors(8, 4, lo, hi, seen[-1])
 
 
 # --- discriminant group -------------------------------------------------------

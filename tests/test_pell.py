@@ -7,8 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from math import isqrt
+
+from pellucas import pell
 from pellucas.errors import InvariantError
-from pellucas.lucas import is_square, m_matrix, n_matrix
+from pellucas.lucas import is_square, m_matrix, mat2_product, n_matrix
 from pellucas.oracle import enumerate_pell, naive_membership
 from pellucas.pell import (PellProblem, PellSolution, compose,
                            fundamental_solution, is_gen_fib_a, is_gen_fib_b,
@@ -197,18 +200,132 @@ def test_fundamental_sound_to_1e9(d):
         assert _pair(minus) == (s, t) and minus.check(d)
 
 
-def test_compose_parity_error_survives_python_O():
+def _raises_under_python_O(setup, call):
+    """Whether `call`, after `setup`, raises InvariantError in an interpreter
+    run with -O, which strips asserts."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("from pellucas.errors import InvariantError\n"
-            "from pellucas.pell import PellSolution, compose\n"
+    code = (f"from pellucas.errors import InvariantError\n{setup}\n"
             "assert False, 'asserts must be stripped'\n"
-            "try:\n"
-            "    compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))\n"
-            "except InvariantError:\n"
+            f"try:\n    {call}\nexcept InvariantError:\n"
             "    print('InvariantError')\n")
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "InvariantError"
+    return out.stdout.strip() == "InvariantError"
+
+
+def test_compose_parity_error_survives_python_O():
+    assert _raises_under_python_O(
+        "from pellucas.pell import PellSolution, compose",
+        "compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))")
     with pytest.raises(InvariantError):
         compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))
+
+
+# --- half-period kernel -------------------------------------------------------
+
+def _full_period(d):
+    """Reference: b and the quotients of one whole period of
+    w = (b + sqrt(D))/2, walked until (P, Q) returns to (b, 2)."""
+    big_d = d if d % 4 < 2 else 4 * d
+    s = isqrt(big_d)
+    b = s - (s - big_d) % 2
+    p, q, q_prev = b, 2, (big_d - b * b) // 2
+    quotients = []
+    while True:
+        a = (p + s) // q
+        quotients.append(a)
+        p, p_prev = a * q - p, p
+        q, q_prev = q_prev + a * (p_prev - p), q
+        if q == 2 and p == b:
+            return b, quotients
+
+
+def _whole_period_answers(d):
+    """Reference: the period and the fundamental solutions of +4 and -4 (None
+    when unsolvable), from the product over the whole period, whose bottom
+    row (q_{l-1}, q_{l-2}) gives the unit q_{l-1} w + q_{l-2} of norm
+    (-1)^l."""
+    b, quotients = _full_period(d)
+    leaves = []
+    for i in range(0, len(quotients), 16):
+        e, f, g, h = 1, 0, 0, 1
+        for a in quotients[i:i + 16]:
+            e, f, g, h = a * e + f, e, a * g + h, g
+        leaves.append((e, f, g, h))
+    _, _, v, w = mat2_product(leaves)
+    u = b * v + 2 * w
+    if d % 4 > 1:
+        v *= 2
+    if len(quotients) % 2 == 0:
+        return quotients, (u, v), None
+    return quotients, ((u * u + d * v * v) // 2, u * v), (u, v)
+
+
+def _answers(d):
+    return tuple(_pair(fundamental_solution(PellProblem(d, sign)))
+                 for sign in (4, -4))
+
+
+def test_half_period_matches_whole_period_below_2e4():
+    for d in range(2, 2 * 10 ** 4):
+        if is_square(d):
+            continue
+        quotients, plus, minus = _whole_period_answers(d)
+        assert _answers(d) == (plus, minus), d
+        # The walk stops at the centre of the palindrome a_1..a_{l-1}.
+        b, half, middle = pell._half_period(d)
+        centre = [] if middle is None else [middle]
+        assert quotients[1:] == half + centre + half[::-1], d
+        assert (middle is None) == (len(quotients) % 2 == 1), d
+
+
+@given(st.integers(10 ** 9, 10 ** 11))
+@settings(max_examples=15, deadline=None)
+def test_half_period_matches_whole_period_bigint(d):
+    assume(not is_square(d))
+    _, plus, minus = _whole_period_answers(d)
+    assert _answers(d) == (plus, minus)
+    assert plus[0] ** 2 - d * plus[1] ** 2 == 4
+    if minus is not None:
+        assert minus[0] ** 2 - d * minus[1] ** 2 == -4
+
+
+@pytest.mark.parametrize("d, plus, minus", [
+    (2, (6, 4), (2, 2)), (3, (4, 2), None), (5, (3, 1), (1, 1)),
+    (6, (10, 4), None), (7, (16, 6), None), (8, (6, 2), (2, 1)),
+    (10, (38, 12), (6, 2)), (13, (11, 3), (3, 1))])
+def test_tiny_periods(d, plus, minus):
+    assert _answers(d) == (plus, minus)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 100, 101, 10 ** 6 + 3, 10 ** 30 + 1,
+                               10 ** 30 + 2])
+def test_tiny_period_families(n):
+    # Periods 1 to 4: the units of n^2 + 1, n^2 - 1, n^2 + 2 and n^2 - 2
+    # in closed form (8 = 3^2 - 1 also solves -4, so n starts at 4).
+    assert _answers(n * n + 1) == ((4 * n * n + 2, 4 * n), (2 * n, 2))
+    assert _answers(n * n - 1) == ((2 * n, 2), None)
+    assert _answers(n * n + 2) == ((2 * n * n + 2, 2 * n), None)
+    assert _answers(n * n - 2) == ((2 * n * n - 2, 2 * n), None)
+
+
+def test_norm_guard_catches_a_wrong_product(monkeypatch):
+    def corrupt(mats):
+        e, f, g, h = mat2_product(mats)
+        return e + 1, f, g, h
+
+    monkeypatch.setattr(pell, "mat2_product", corrupt)
+    # -4 on an even period answers None before any product is built.
+    for d, sign in ((2, 4), (2, -4), (3, 4), (94, 4), (13, -4), (10 ** 9 + 7, 4)):
+        with pytest.raises(InvariantError, match="norm check"):
+            fundamental_solution(PellProblem(d, sign))
+
+
+def test_norm_guard_survives_python_O():
+    assert _raises_under_python_O(
+        "from pellucas import pell\n"
+        "product = pell.mat2_product\n"
+        "pell.mat2_product = lambda m: (lambda e, f, g, h: "
+        "(e + 1, f, g, h))(*product(m))",
+        "pell.fundamental_solution(pell.PellProblem(10 ** 9 + 7, 4))")
