@@ -232,7 +232,7 @@ def cmd_pell(args, rec: Record) -> int:
         return EXIT_OK
     rec.result["solvable"] = True
     rec.result["fundamental"] = {"u": fund.u, "v": fund.v}
-    sols = pell.solutions_iter(problem, args.count)
+    sols = pell._solutions_from(problem, fund, args.count)
     rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
         bound = min(max(s.v for s in sols), args.bound)

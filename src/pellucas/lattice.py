@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import Mat2, is_square, mat2_product
+from .lucas import _FFT_LO, Mat2, _mul, is_square, mat2_product
 from .pell import PellProblem, PellSolution, fundamental_solution, isqrt_exact
 
 CYCLE_CAP = 10 ** 6
@@ -82,10 +82,14 @@ def isometry_det(lattice: Lattice2, g: Mat2) -> Optional[int]:
 
     For e = det g = +-1, g^{-1} = e adj(g), so g^T Q g = Q holds exactly when
     e Q g = adj(g)^T Q: four identities whose only full-size products are
-    the two inside the determinant.  Nothing here needs Q invertible.
+    the two inside the determinant, which go to the FFT kernel once both
+    factors of either have _FFT_LO bits.  Nothing here needs Q invertible.
     """
     p, q, r, s = g.e00, g.e01, g.e10, g.e11
-    e = p * s - q * r
+    if s.bit_length() < _FFT_LO and q.bit_length() < _FFT_LO:
+        e = p * s - q * r  # what _mul would do, without two calls
+    else:
+        e = _mul(p, s) - _mul(q, r)
     if e != 1 and e != -1:
         return None
     a2, b, c2 = 2 * lattice.a, lattice.b, 2 * lattice.c

@@ -11,11 +11,14 @@ squares instead, and both go to _square, a Toom-3 squaring kernel that beats
 CPython's Karatsuba at that size.  The two-square step divides by D, so D = 0
 and large D keep the product.
 
-The one floating-point step is _square's leaf for _FFT_LO to _FFT_HI bits:
-a numpy real FFT over the bytes of the operand (numpy is imported there, on
-first use).  Its rounding error has an a-priori bound far below 1/2 at the
-lengths that cap allows, and every square is checked at run time by its
-rounding distance and modulo 2^61 - 1; a failed check raises InvariantError.
+The one floating-point step is _fft_mul, an exact product by one numpy real
+FFT convolution over 12-bit digits (two digits per three bytes; numpy is
+imported there, on first use).  It squares for _square from _FFT_LO to _FFT_HI
+bits and multiplies for _mul, which serves the full-size products of the
+isometry and Pell checks.  Its rounding error has an a-priori bound near 2^-4
+at the lengths the cap allows, and every result is checked at run time by
+its rounding distance and modulo 2^61 - 1; a failed check raises
+InvariantError.
 """
 
 from __future__ import annotations
@@ -32,15 +35,36 @@ from .errors import InvariantError
 # 10 000 to 40 000 bits, about 0.78 of the product step's, and rises to 0.83
 # at 60 000 and 0.86 at 80 000.  20 000 sits inside the flat range.
 _TOOM_CUTOFF = 20_000
-# Bit lengths squared by the FFT leaf _fft_square.  Timed against the Toom-3
-# step on random operands (median ratio of 40 alternating pairs, same VM),
-# Toom-3/FFT is 0.81 at 30 000 bits, 1.10 at 40 000, 1.07-1.29 from 50 000 to
-# 90 000 and 1.74 at 130 000.  _FFT_HI caps the transform length, and so its
-# memory: pocketfft holds about four times the float64 array, and one
-# uncapped square at 950 kbit adds 7.9 MB of peak RSS.
+# Bit lengths from which _fft_mul squares (up to _FFT_HI) and multiplies.
+# Medians of 15 alternating pairs on random operands (same VM):
+#
+#   bits     Toom-3 step / FFT square    x*y / FFT product
+#   20 000   0.71                        0.77
+#   25 000   1.02                        1.07
+#   30 000   0.93-0.99                   1.20-1.22
+#   35 000   1.07                        1.37
+#   40 000   1.20-1.38                   1.39-1.48
+#   60 000   1.55-1.90                   1.88-2.09
+#   100 000  1.87                        2.06
+#   200 000  2.14                        2.72
+#
+# Both cross over near 30 000 bits; 40 000 keeps one cutoff for both, with a
+# margin for the slower spells of this VM.  _FFT_HI caps the transform length
+# (nx + ny <= 2 _FFT_HI / 12 digits), and so its memory and its error bound.
+# One square from a fresh interpreter, peak RSS over a warmed-up numpy, and
+# time against a Toom-3 step into five FFT squares (median of 15 pairs):
+#
+#   bits        one transform   RSS       Toom-3 step / one transform
+#   524 000     6.5 ms          +2.4 MB   1.20
+#   700 000     8.8 ms          +3.5 MB   1.38
+#   950 000     11.8 ms         +4.9 MB   1.32
+#   1 000 000   15.8 ms         +5.1 MB   1.23
+#
+# At 1 000 000 bits the top squares of lucas_uv(4, 1, 10^6), about 950 000
+# bits, take one transform, for 1.8 MB more than a Toom-3 step would hold.
 _FFT_LO = 40_000
-_FFT_HI = 524_000
-# Mersenne prime modulus of the residue check on every FFT square.
+_FFT_HI = 1_000_000
+# Mersenne prime modulus of the residue check on every FFT product.
 _CHECK_MODULUS = (1 << 61) - 1
 
 
@@ -191,64 +215,114 @@ def _mod_m61(x: int) -> int:
     return x % _CHECK_MODULUS
 
 
-def _fft_square(x: int) -> int:
-    """x * x by one real FFT over the bytes of |x|, exactly or InvariantError.
+def _fft_digits(x: int, n: int):
+    """|x| in 12-bit digits, least first, in a zero float64 array of length n.
 
-    The bytes a_i of |x| (little-endian, nb of them) are the coefficients of
-    a polynomial whose value at 256 is |x|.  Its square's 2 nb - 1
-    coefficients come back from rfft, a pointwise square and irfft at the
-    least 3-5-smooth length n >= 2 nb - 1, so nothing wraps around.  Each is
-    rounded to the nearest integer and is at most nb * 255^2 < 2^33 (nb <=
-    _FFT_HI / 8 = 65 500), so the bytes of all of them, taken plane by plane
-    (byte j of every coefficient), add up to the square with at most five
-    shifted int.from_bytes terms.
+    Each 24-bit group of bytes (3k .. 3k + 2) holds digits 2k (its low 12
+    bits) and 2k + 1 (its high 12 bits).  A strided uint32 view reads the
+    groups straight from the bytes of |x|, one spare byte past the top.
+    """
+    import numpy as np
+
+    groups = -(-x.bit_length() // 24)
+    word = np.ndarray((groups,), "<u4", x.to_bytes(3 * groups + 1, "little"),
+                      0, (3,))
+    a = np.zeros(n)
+    np.bitwise_and(word, 0xFFF, out=a[0:2 * groups:2])
+    np.bitwise_and(word >> 12, 0xFFF, out=a[1:2 * groups:2])
+    return a
+
+
+def _fft_mul(x: int, y: int) -> int:
+    """x * y by one real FFT convolution of 12-bit digits, exactly or
+    InvariantError.  A square (x is y) takes one forward transform.
+
+    The 12-bit digits of |x| (nx of them, rounded up to even) are the
+    coefficients of a polynomial whose value at 2^12 is |x|; likewise |y|.
+    The product's coefficients come back from rfft, a pointwise product and
+    irfft at the least 3-5-smooth length n >= nx + ny, so nothing wraps
+    around.  Each is rounded to the nearest integer, and neighbours are
+    paired as c_2k + 2^12 c_2k+1, one uint64 per 24 bits of the product.
+    The three 24-bit planes of those pairs (bytes 0-2, 3-5 and 6 of each)
+    are joined by int.from_bytes and two shifted additions.
 
     Error bound.  For a radix-2 transform of length 2^L, Percival ("Rapid
     multiplication modulo the sum and difference of highly composite
     numbers", Math. Comp. 72, 2003) bounds the error of every coefficient by
-    |a|^2 ((1 + e)^(3L) (1 + e sqrt 5)^(3L+1) (1 + b)^(3L) - 1), with
-    e = 2^-53 and b the relative error of the twiddle factors.  The cap
-    keeps |a|^2 <= 255^2 * 65 500 < 2^32 and n <= 2^17 = 131 072, so L <= 17
-    and the bound is about 2^32 (3L + (3L + 1) sqrt 5 + 3L b/e) 2^-53, under
-    2^-12 for any b <= 4e; pocketfft's radix-3 and radix-5 passes have
-    constants of the same order.  The largest distance to an integer
-    measured inside the cap was 2.9e-6 (all bytes 0xFF, 500 000 bits,
-    n = 125 000).  Nothing rests on the bound alone: a distance of 1/4 or
-    more, or a square that disagrees with (x mod M)^2 mod M for
-    M = 2^61 - 1, raises InvariantError.
+    |x| |y| ((1 + e)^(3L) (1 + e sqrt 5)^(3L+1) (1 + b)^(3L) - 1), with
+    |x|, |y| the Euclidean norms of the digit vectors, e = 2^-53 and b the
+    relative error of the twiddle factors.  Under the cap (nx + ny <=
+    2 _FFT_HI / 12, about 166 700) each norm squared is at most
+    83 334 * 4095^2, about 2^40.4, and n <= 2^18, so L <= 18 and the bound
+    is about 2^40.4 (3L + (3L + 1) sqrt 5 + 3L b/e) 2^-53, near 2^-4 for any
+    b <= 4e; pocketfft's radix-3 and radix-5 passes have constants of the
+    same order.  The largest distance to an integer measured with every
+    digit 0xFFF was 0.0005 at 524 kbit and 0.001 at 1 Mbit.  Each coefficient
+    is below 2^41 there, so a pair is below 2^53.  Nothing rests on the bound
+    alone: a distance of 1/4 or more, or a result that disagrees with
+    (x mod M)(y mod M) mod M for M = 2^61 - 1, raises InvariantError.
     """
     import numpy as np
 
-    x = abs(x)
-    nbytes = (x.bit_length() + 7) // 8
-    size = 2 * nbytes - 1
+    square = x is y
+    negative = (x < 0) != (y < 0)
+    x, y = abs(x), abs(y)
+    size = 2 * (-(-x.bit_length() // 24) - (-y.bit_length() // 24))
     n = _smooth_length(size)
-    spectrum = np.fft.rfft(np.frombuffer(x.to_bytes(nbytes, "little"),
-                                         dtype=np.uint8), n)
-    spectrum *= spectrum
+    spectrum = np.fft.rfft(_fft_digits(x, n))
+    if square:
+        spectrum *= spectrum
+    else:
+        spectrum *= np.fft.rfft(_fft_digits(y, n))
     conv = np.fft.irfft(spectrum, n)[:size]
     del spectrum  # freed before the rounding allocates
     coeffs = np.rint(conv)
     conv -= coeffs
     drift = float(np.abs(conv, out=conv).max())
+    del conv
     if not drift < 0.25:
-        raise InvariantError(f"FFT square of a {8 * nbytes}-bit operand is "
-                             f"{drift} away from an integer")
+        raise InvariantError(f"FFT product of {x.bit_length()}- and "
+                             f"{y.bit_length()}-bit operands is {drift} away "
+                             f"from an integer")
     coeffs = coeffs.astype("<u8")
-    planes = coeffs.view(np.uint8).reshape(size, 8)
-    sq = 0
-    for j in reversed(range((int(coeffs.max()).bit_length() + 7) // 8)):
-        sq = (sq << 8) + int.from_bytes(planes[:, j].tobytes(), "little")
+    pairs = coeffs[1::2] << 12
+    pairs += coeffs[0::2]
+    del coeffs
+    top = np.zeros((len(pairs), 3), np.uint8)
+    top[:, 0] = pairs.view(np.uint8)[6::8]  # byte 7 is zero
+    prod = int.from_bytes(top.tobytes(), "little")
+    for j in (3, 0):
+        plane = np.ndarray((len(pairs),), "V3", pairs, j, (8,))
+        prod = (prod << 24) + int.from_bytes(plane.tobytes(), "little")
     xm = _mod_m61(x)
-    if _mod_m61(sq) != xm * xm % _CHECK_MODULUS:
-        raise InvariantError(f"FFT square of a {8 * nbytes}-bit operand "
-                             f"fails its check modulo 2^61 - 1")
-    return sq
+    ym = xm if square else _mod_m61(y)
+    if _mod_m61(prod) != xm * ym % _CHECK_MODULUS:
+        raise InvariantError(f"FFT product of {x.bit_length()}- and "
+                             f"{y.bit_length()}-bit operands fails its check "
+                             f"modulo 2^61 - 1")
+    return -prod if negative else prod
+
+
+def _mul(x: int, y: int) -> int:
+    """x * y; by the FFT kernel when both factors have _FFT_LO bits or more.
+
+    A product longer than the kernel's cap (2 _FFT_HI bits) is cut: the
+    longer factor is split in half and each half multiplied on its own.
+    """
+    bx, by = x.bit_length(), y.bit_length()
+    if bx < _FFT_LO or by < _FFT_LO:
+        return x * y
+    if bx + by <= 2 * _FFT_HI:
+        return _fft_mul(x, y)
+    if bx < by:
+        x, y, bx = y, x, by
+    k = bx // 2
+    return (_mul(x >> k, y) << k) + _mul(x & ((1 << k) - 1), y)
 
 
 def _square(x: int) -> int:
     """x * x; from _TOOM_CUTOFF bits on by one Toom-3 step, recursively, and
-    from _FFT_LO to _FFT_HI bits by the FFT leaf _fft_square.
+    from _FFT_LO to _FFT_HI bits by the FFT kernel _fft_mul.
 
     |x| = x2 B^2 + x1 B + x0 with B = 2^k is squared at the points 0, 1, -1,
     -2 and infinity, and the five coefficients of the square come back by
@@ -256,13 +330,13 @@ def _square(x: int) -> int:
     Multiplication for Univariate and Multivariate Polynomials in
     Characteristic 2 and 0", WAIFI 2007), whose only divisions are one exact
     // 3 and exact halvings.  Above _FFT_HI, Toom-3 steps split the operand
-    until the pieces fit the FFT leaf.
+    until the pieces fit the FFT kernel.
     """
     bits = x.bit_length()
     if bits < _TOOM_CUTOFF:
         return x * x
     if _FFT_LO <= bits <= _FFT_HI:
-        return _fft_square(x)
+        return _fft_mul(x, x)
     x = abs(x)
     k = (bits + 2) // 3
     mask = (1 << k) - 1
@@ -292,7 +366,8 @@ def lucas_uv(params: LucasParams, n: int) -> SeqTerm:
     the Toom-3 kernel _square: with s = V_k^2, U_k^2 = (s - 4 q^k)/D exactly
     (from V_k^2 - D U_k^2 = 4 q^k), U_{2k} = ((U_k + V_k)^2 - s - U_k^2)/2
     and V_{2k} = s - 2 q^k.  For D = 0 there is nothing to divide by; below
-    the cutoff, or for a larger D, the product is the cheaper step.
+    the cutoff, or for a larger D, the product is the cheaper step, and from
+    the cutoff on it goes to _mul and the square to _square.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -304,12 +379,14 @@ def lucas_uv(params: LucasParams, n: int) -> SeqTerm:
     two_squares = 0 < abs(d) < 1 << 64
     u, v, qk = 0, 2, 1
     for bit in bin(n)[2:] if n else "":
-        if two_squares and v.bit_length() >= _TOOM_CUTOFF:
+        if v.bit_length() < _TOOM_CUTOFF:
+            u, v = u * v, v * v - 2 * qk
+        elif two_squares:
             s = _square(v)
             u = (_square(u + v) - s - (s - 4 * qk) // d) >> 1
             v = s - 2 * qk
         else:
-            u, v = u * v, v * v - 2 * qk
+            u, v = _mul(u, v), _square(v) - 2 * qk
         qk *= qk
         if bit == "1":
             u, v = (p * u + v) // 2, (d * u + p * v) // 2

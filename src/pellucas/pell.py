@@ -20,8 +20,8 @@ from math import isqrt, log
 from typing import Optional
 
 from .errors import InvariantError
-from .lucas import (_CHECK_MODULUS, LucasParams, SeqTerm, _mod_m61, _square,
-                    lucas_uv, mat2_product)
+from .lucas import (_CHECK_MODULUS, _TOOM_CUTOFF, LucasParams, SeqTerm,
+                    _mod_m61, _square, lucas_uv, mat2_product)
 
 # Partial quotients collapsed into one small-integer leaf of the product tree.
 _LEAF = 16
@@ -56,7 +56,10 @@ class PellSolution:
     sign: int
 
     def check(self, d: int) -> bool:
-        return self.u * self.u - d * self.v * self.v == self.sign
+        u, v = self.u, self.v
+        if u.bit_length() < _TOOM_CUTOFF:
+            return u * u - d * v * v == self.sign
+        return _square(u) - d * _square(v) == self.sign
 
 
 @dataclass(frozen=True)
@@ -189,12 +192,19 @@ def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:
     +4: powers of the fundamental +4 solution; -4: odd powers of the
     fundamental -4 solution.  Raises ValueError when no solution exists.
     """
+    fund = fundamental_solution(problem)
+    if fund is None:
+        raise ValueError(f"x^2 - {problem.d} y^2 = {problem.sign} has no solution")
+    return _solutions_from(problem, fund, count)
+
+
+def _solutions_from(problem: PellProblem, fund: PellSolution,
+                    count: int) -> list[PellSolution]:
+    """solutions_iter's list from the fundamental solution `fund`, for a
+    caller that has already found it."""
     if count < 1:
         raise ValueError("count must be >= 1")
     d = problem.d
-    fund = fundamental_solution(problem)
-    if fund is None:
-        raise ValueError(f"x^2 - {d} y^2 = {problem.sign} has no solution")
     if isqrt_exact(d) is not None:
         return [fund]
     out = [fund]

@@ -68,6 +68,25 @@ def test_pell_unsolvable_status_vs_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("d, sign, solvable", [(13, 4, True), (13, -4, True),
+                                               (7, -4, False)])
+def test_pell_builds_the_unit_once(capsys, monkeypatch, d, sign, solvable):
+    calls = []
+    true_fundamental = pell.fundamental_solution
+
+    def counted(problem):
+        calls.append(problem)
+        return true_fundamental(problem)
+
+    monkeypatch.setattr(pell, "fundamental_solution", counted)
+    code, doc, _ = run_json(capsys, "pell", "--d", str(d), f"--sign={sign}",
+                            "--count", "3")
+    assert code == 0 and doc["result"]["solvable"] is solvable
+    assert calls == [pell.PellProblem(d, sign)]
+    if solvable:
+        assert doc["result"]["solutions"][0] == doc["result"]["fundamental"]
+
+
 def test_member_golden(capsys):
     code, doc, _ = run_json(capsys, "member", "--value", "8", "--a", "1")
     assert code == 0

@@ -9,9 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pellucas.errors import InvariantError
+from pellucas.k3 import (case_a_lattice, case_b_lattice, classify_case_a,
+                         classify_case_b)
+from pellucas.lattice import isometry_det
 from pellucas.lucas import (_FFT_HI, _FFT_LO, _TOOM_CUTOFF, LucasParams, Mat2,
-                            _square, companion_power, gen_fib_a, gen_fib_b,
-                            lucas_uv, m_matrix, n_matrix)
+                            _fft_mul, _mul, _square, companion_power,
+                            gen_fib_a, gen_fib_b, lucas_uv, m_matrix,
+                            n_matrix)
 from pellucas.oracle import naive_lucas
 
 
@@ -233,16 +237,16 @@ def test_lucas_uv_squaring_regime_property(p, q, n):
     assert (t.u, t.v) == _matrix_uv(params, n)
 
 
-# --- FFT leaf ------------------------------------------------------------------
+# --- FFT kernel ----------------------------------------------------------------
 
 @given(st.one_of(st.sampled_from((_FFT_LO, _FFT_HI)).flatmap(
                      lambda edge: st.integers(edge - 3, edge + 3)),
-                 st.integers(10 ** 6, 2 * 10 ** 6)),
+                 st.integers(_FFT_HI, 2 * _FFT_HI)),
        st.integers(0, 2 ** 32), st.sampled_from(_SHAPES), st.booleans())
-@example(_FFT_LO - 1, 0, "ones", False)   # the last Toom-3 size below the leaf
-@example(_FFT_HI + 1, 0, "ones", True)    # Toom-3 above the leaf
-@example(2 * 10 ** 6, 5, "random", True)  # Toom-3 twice, then FFT leaves
-@settings(max_examples=20, deadline=None)
+@example(_FFT_LO - 1, 0, "ones", False)   # the last Toom-3 size below the kernel
+@example(_FFT_HI + 1, 0, "ones", True)    # Toom-3 above the cap
+@example(2 * 10 ** 6, 5, "random", True)  # one Toom-3 step, then FFT squares
+@settings(max_examples=8, deadline=None)
 def test_square_at_the_fft_bounds(bits, seed, shape, negative):
     x = _shaped(bits, seed, shape)
     x = -x if negative else x
@@ -250,11 +254,66 @@ def test_square_at_the_fft_bounds(bits, seed, shape, negative):
 
 
 def test_fft_square_of_all_ff_bytes_at_the_cap():
-    # Every byte 0xFF makes every convolution coefficient as large as the cap
-    # allows: the middle one is 65 500 * 255^2, past 2^32.
+    # Every 12-bit digit 0xFFF (bar the top one) makes every convolution
+    # coefficient as large as the cap allows: the middle one is about
+    # 83 334 * 4095^2, past 2^40.
     x = (1 << _FFT_HI) - 1
-    assert x.to_bytes(_FFT_HI // 8, "little") == b"\xff" * (_FFT_HI // 8)
     assert _square(x) == x * x
+
+
+def _sparse(bits, seed):
+    """Top bit, a random 1000-bit tail and a run of zeros between them."""
+    return 1 << (bits - 1) | random.Random(seed).getrandbits(1000)
+
+
+# Both sides of _FFT_LO and _FFT_HI, and digit counts of both parities:
+# 12 * 3333 bits are an odd count of 12-bit digits, 12 * 3334 an even one.
+_KERNEL_BITS = (_FFT_LO - 1, _FFT_LO + 1, 12 * 3333, 12 * 3334,
+                _FFT_HI - 1, _FFT_HI + 1, 12 * 83_333)
+
+
+@pytest.mark.parametrize("bits", _KERNEL_BITS)
+@pytest.mark.parametrize("shape", ("ones", "random", "sparse"))
+def test_fft_mul_matches_plain_multiplication(bits, shape):
+    if shape == "ones":
+        # Every digit 0xFFF: the square has a closed form.
+        top = 1 << bits
+        x, xx = top - 1, (top << bits) - 2 * top + 1
+    else:
+        x = _sparse(bits, 1) if shape == "sparse" else _shaped(bits, 1, shape)
+        xx = x * x
+    # A second factor of the same length; one plain square serves both.
+    y, xy = x - 2, xx - 2 * x
+    assert _fft_mul(x, x) == xx
+    assert _fft_mul(-x, -x) == xx
+    assert _fft_mul(x, -y) == -xy
+
+
+@pytest.mark.parametrize("bits_x, bits_y", [
+    (_FFT_LO, 3 * _FFT_LO),              # 1:3
+    (3 * _FFT_LO + 5, _FFT_LO - 1),      # one factor just under _FFT_LO
+    (_FFT_HI // 3, _FFT_HI),             # 1:3 at the cap
+    (2 * _FFT_HI - _FFT_LO, _FFT_LO),    # the longest product under the cap
+])
+def test_fft_mul_of_unequal_lengths(bits_x, bits_y):
+    for seed, shape in ((3, "random"), (0, "ones")):
+        x, y = _shaped(bits_x, seed, shape), _shaped(bits_y, seed + 1, shape)
+        xy = x * y
+        assert _fft_mul(x, y) == xy
+        assert _fft_mul(-y, x) == -xy
+        assert _mul(x, y) == xy
+
+
+@pytest.mark.parametrize("bits_x, bits_y", [
+    (_FFT_LO - 1, _FFT_HI),        # a short factor: plain *
+    (_FFT_HI + 7, _FFT_HI),        # past the cap: the longer factor is cut
+    (3 * _FFT_HI, _FFT_LO + 3),    # cut twice
+])
+def test_mul_matches_plain_multiplication(bits_x, bits_y):
+    x, y = _shaped(bits_x, 4, "random"), -_shaped(bits_y, 5, "random")
+    xy = x * y
+    assert _mul(x, y) == xy
+    assert _mul(y, x) == xy
 
 
 def _uv_mod(params, n, prime):
@@ -276,8 +335,8 @@ def _uv_mod(params, n, prime):
 def test_lucas_uv_near_a_million_in_the_fft_regime(p, q, n):
     params = LucasParams(p, q)
     t = lucas_uv(params, n)
-    # V_n was squared from half its size, so the FFT leaf ran; for (4, 1) the
-    # last squares (950 kbit) took a Toom-3 step first.
+    # V_n was squared from half its size, so the FFT kernel ran; for (4, 1) the
+    # last squares (950 kbit) take one transform, just under _FFT_HI.
     assert t.v.bit_length() > 2 * _FFT_LO
     assert t.v * t.v - params.discriminant * t.u * t.u == 4 * q ** n
     prime = (1 << 89) - 1
@@ -285,7 +344,7 @@ def test_lucas_uv_near_a_million_in_the_fft_regime(p, q, n):
 
 
 def _patch_irfft(monkeypatch, delta):
-    """Make the FFT leaf's inverse transform add delta to coefficient 0."""
+    """Make the FFT kernel's inverse transform add delta to coefficient 0."""
     true_irfft = np.fft.irfft
 
     def wrong_irfft(*args, **kwargs):
@@ -307,25 +366,62 @@ def test_fft_guards_raise(monkeypatch, delta, guard):
         _square(x)
 
 
+@pytest.mark.parametrize("delta, guard", [(0.5, "away from an integer"),
+                                          (1.0, "check modulo")])
+def test_fft_guards_raise_for_a_product(monkeypatch, delta, guard):
+    _patch_irfft(monkeypatch, delta)
+    x, y = _shaped(2 * _FFT_LO, 1, "random"), _shaped(3 * _FFT_LO, 2, "random")
+    with pytest.raises(InvariantError, match=guard):
+        _mul(x, y)
+
+
 def test_fft_guards_raise_under_python_O():
     # -O strips assert statements; the guards must not depend on them.
     code = """
 import numpy as np
 from pellucas.errors import InvariantError
-from pellucas.lucas import _FFT_LO, _square
+from pellucas.lucas import _FFT_LO, _mul, _square
 true_irfft = np.fft.irfft
+x = (1 << 2 * _FFT_LO) - 12345
 for delta in (0.5, 1.0):
     def wrong_irfft(*args, delta=delta, **kwargs):
         out = true_irfft(*args, **kwargs)
         out[0] += delta
         return out
     np.fft.irfft = wrong_irfft
-    try:
-        _square((1 << 2 * _FFT_LO) - 12345)
-    except InvariantError:
-        print("raised")
+    for call in (lambda: _square(x), lambda: _mul(x, x + 1)):
+        try:
+            call()
+        except InvariantError:
+            print("raised")
 """
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, timeout=120, env={"PYTHONPATH": str(src)})
-    assert out.stdout.split() == ["raised", "raised"], out.stderr
+    assert out.stdout.split() == ["raised"] * 4, out.stderr
+
+
+# --- Callers of the kernel -----------------------------------------------------
+
+@pytest.mark.parametrize("flavor, param, n", [
+    ("a", 100, 8011),     # m = 8011 has apparition rank 8010: ~106 kbit entries
+    ("b", 104, 9952),     # ~133 kbit entries
+    ("b", 104, 30_000),   # ~400 kbit entries
+])
+def test_isometry_and_trace_checks_match_plain_products(flavor, param, n):
+    if flavor == "a":
+        case = classify_case_a(n, param)
+        k, lat = case.n, case_a_lattice(n, param)
+        t = gen_fib_a(param, k)
+        trace = (param * param + 4) * t * t + (-1) ** k * 2
+    else:
+        case = classify_case_b(param, n)
+        k, lat = n, case_b_lattice(param)
+        t = gen_fib_b(param, k)
+        trace = (param * param - 4) * t * t + 2
+    g = case.action.g
+    assert g.e00.bit_length() > 100_000
+    assert case.action.trace == trace == g.trace
+    assert case.action.det == g.e00 * g.e11 - g.e01 * g.e10 == 1
+    # One unit off in a corner breaks the determinant: the kernel must see it.
+    assert isometry_det(lat, Mat2(g.e00 + 1, g.e01, g.e10, g.e11)) is None

@@ -7,7 +7,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pellucas"
 
 
 def test_cli_import_does_not_load_numpy():
-    # Only the FFT leaf of lucas._square and the enumeration oracles import
+    # Only the FFT kernel of lucas._square and the enumeration oracles import
     # numpy; a small CLI call and a 7 kbit lucas_uv stay below both.
     code = ("import sys, pellucas, pellucas.cli\n"
             "pellucas.cli.build_parser()\n"

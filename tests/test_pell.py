@@ -11,7 +11,8 @@ from math import isqrt
 
 from pellucas import pell
 from pellucas.errors import InvariantError
-from pellucas.lucas import is_square, m_matrix, mat2_product, n_matrix
+from pellucas.lucas import (LucasParams, is_square, lucas_uv, m_matrix,
+                            mat2_product, n_matrix)
 from pellucas.oracle import enumerate_pell, naive_membership
 from pellucas.pell import (PellProblem, PellSolution, compose,
                            fundamental_solution, is_gen_fib_a, is_gen_fib_b,
@@ -44,6 +45,20 @@ def test_solutions_iter_examples():
     assert [(s.u, s.v) for s in solutions_iter(PellProblem(5, -4), 3)] == \
         [(1, 1), (4, 2), (11, 5)]
     assert [(s.u, s.v) for s in solutions_iter(PellProblem(9, 4), 1)] == [(2, 0)]
+
+
+@pytest.mark.parametrize("k", [7_001, 20_001, 100_001])
+@pytest.mark.parametrize("sign", [4, -4])
+def test_check_of_big_solutions_matches_plain_products(k, sign):
+    # The k-th power of the unit of norm sign/4 at d = 13, for odd k, is
+    # (V_k(u, N), v U_k(u, N)) with (u, v) = (11, 3) or (3, 1) and N = sign/4.
+    u0, v0 = (11, 3) if sign == 4 else (3, 1)
+    t = lucas_uv(LucasParams(u0, sign // 4), k)
+    u, v = t.v, v0 * t.u
+    assert u * u - 13 * v * v == sign
+    assert PellSolution(u, v, sign).check(13)
+    for wrong in ((u + 2, v), (u, v + 1), (u, -v - 1)):
+        assert not PellSolution(*wrong, sign).check(13)
 
 
 def test_unsolvable_reported():
