@@ -11,7 +11,7 @@ solvable, and (when it is) the half-integer square law beta^2 = alpha.
 import argparse
 
 from pellucas.lucas import is_square
-from pellucas.pell import PellProblem, compose, fundamental_solution
+from pellucas.pell import PellProblem, fundamental_solution
 
 
 def main() -> None:
@@ -31,8 +31,9 @@ def main() -> None:
         beta = fundamental_solution(PellProblem(d, -4))
         if beta is not None:
             negative += 1
-            sq = compose(d, beta, beta)
-            assert (sq.u, sq.v) == (alpha.u, alpha.v)
+            # ((u + v sqrt(d))/2)^2 = ((u^2 + d v^2)/2 + u v sqrt(d))/2.
+            square = ((beta.u ** 2 + d * beta.v ** 2) // 2, beta.u * beta.v)
+            assert square == (alpha.u, alpha.v)
             print(f"d={d:<4} +4: ({alpha.u}, {alpha.v})   "
                   f"-4: ({beta.u}, {beta.v})   beta^2 = alpha ok")
         elif not args.only_negative:

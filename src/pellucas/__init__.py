@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import InvariantError, SearchCapExceeded
 from .lucas import (LucasParams, Mat2, SeqTerm, companion_power, gen_fib_a,
                     gen_fib_b, lucas_uv)
-from .pell import (MembershipVerdict, PellProblem, PellSolution, compose,
+from .pell import (MembershipVerdict, PellProblem, PellSolution,
                    fundamental_solution, is_gen_fib_a, is_gen_fib_b,
                    isqrt_exact, solutions_iter)
 from .lattice import (IsometryAction, Lattice2, disc_group_action, find_roots,

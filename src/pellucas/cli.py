@@ -29,6 +29,7 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, is_dataclass
+from itertools import islice
 
 from . import __version__
 from . import intersection as ix
@@ -232,7 +233,9 @@ def cmd_pell(args, rec: Record) -> int:
         return EXIT_OK
     rec.result["solvable"] = True
     rec.result["fundamental"] = {"u": fund.u, "v": fund.v}
-    sols = pell._solutions_from(problem, fund, args.count)
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
+    sols = list(islice(pell._solutions_from(problem, fund), args.count))
     rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
         bound = min(max(s.v for s in sols), args.bound)

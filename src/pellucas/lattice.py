@@ -2,8 +2,9 @@
 discriminant-group actions, and (0)/(-2)-element detection.
 
 The (-2) search uses the reduction cycle of the indefinite binary form
-a x^2 + b x y + c y^2 (square discriminants are handled by factoring the
-form); the exhaustive-search oracle is ``oracle.first_root_in_box``.
+a x^2 + b x y + c y^2 (a square discriminant factors the form and is
+answered in closed form); the exhaustive-search oracle is
+``oracle.first_root_in_box``.
 """
 
 from __future__ import annotations
@@ -229,30 +230,26 @@ def _represents_minus_one_cycle(a: int, b: int, c: int, d: int
 
 def _represents_minus_one_square_disc(a: int, b: int, c: int, d: int
                                       ) -> Optional[tuple[int, int]]:
-    """Square-discriminant case: the form factors, so enumerate divisors."""
+    """Witness (x, y) with a x^2 + b x y + c y^2 = -1, for d = b^2 - 4ac = s^2,
+    in closed form.
+
+    For a = 0 the form is y (b x + c y), so y = 1 and b | 1 + c.  Otherwise
+    4a(a x^2 + b x y + c y^2) = e f with e = 2ax + (b - s)y and
+    f = 2ax + (b + s)y.  The primitive isotropic vector ((s - b)/g, 2a/g),
+    g = gcd(2a, s - b), completes to a det-1 basis in which the form is
+    b' X Y + c' Y^2 with b' = +-s, and e = -g Y there; -1 needs Y = +-1, so
+    every witness has e = +-g.  The one with e = g, f = -4a/g is returned
+    when it is integral; its negative is the only other with e = +-g.
+    """
     s = isqrt(d)
     if a == 0:
-        # b x y + c y^2 = -1 needs y = +-1 and a divisible linear solve.
-        for y in (1, -1):
-            num = -1 - c
-            if b != 0 and num % (b * y) == 0:
-                return (num // (b * y), y)
+        return ((-1 - c) // b, 1) if (1 + c) % b == 0 else None
+    g = gcd(2 * a, s - b)
+    y, r = divmod(-4 * a // g - g, 2 * s)
+    if r:
         return None
-    target = -4 * a
-    for e in range(1, abs(target) + 1):
-        if target % e:
-            continue
-        for e1 in (e, -e):
-            f1 = target // e1
-            if (f1 - e1) % (2 * s):
-                continue
-            y = (f1 - e1) // (2 * s)
-            num = e1 - (b - s) * y
-            if num % (2 * a) == 0:
-                x = num // (2 * a)
-                if a * x * x + b * x * y + c * y * y == -1:
-                    return (x, y)
-    return None
+    x, r = divmod(g - (b - s) * y, 2 * a)
+    return None if r else (x, y)
 
 
 def find_roots(lattice: Lattice2, norm_target: int) -> Optional[tuple[int, int]]:

@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 from .errors import InvariantError
 from .lucas import LucasParams, Mat2, SeqTerm
 from .pell import (MembershipVerdict, PellProblem, PellSolution,
-                   fundamental_solution, solutions_iter)
+                   _solutions_from, fundamental_solution)
 
 INT64_MAX = 2 ** 63 - 1
 # Square sieve moduli (Cohen, GTM 138, Alg. 1.7.3), pairwise coprime.
@@ -153,20 +153,18 @@ def enumerate_pell(d: int, sign: int, v_bound: int) -> list[PellSolution]:
 
 def _solutions_to(d: int, sign: int, x_bound: int) -> dict[int, int]:
     """{x: y} over the solutions of x^2 - d y^2 = sign with 2 <= x <= x_bound,
-    from the powers of the fundamental solution (``pell.solutions_iter``)
-    and, for +4, the trivial (2, 0)."""
+    from the powers of the fundamental solution (``pell._solutions_from``,
+    increasing in x) and, for +4, the trivial (2, 0)."""
     found = {2: 0} if sign == 4 and x_bound >= 2 else {}
     problem = PellProblem(d, sign)
-    if fundamental_solution(problem) is None:
+    fund = fundamental_solution(problem)
+    if fund is None:
         return found
-    count = 1
-    while True:
-        sols = solutions_iter(problem, count)
-        # A square d has one solution only.
-        if sols[-1].u > x_bound or len(sols) < count:
+    for s in _solutions_from(problem, fund):
+        if s.u > x_bound:
             break
-        count *= 2
-    found.update((s.u, s.v) for s in sols if 2 <= s.u <= x_bound)
+        if s.u >= 2:
+            found[s.u] = s.v
     return found
 
 

@@ -10,14 +10,16 @@ from a balanced product tree, and the whole period's convergents are the
 first row of H H^T (odd period) or H [[a, 1], [1, 0]] H^T (even period, a
 the middle quotient).  The unit is checked modulo 2^61 - 1 before it is
 returned, and a failed check raises InvariantError.  Odd solutions
-(d = 5 mod 8) come out directly.  Everything is integer arithmetic.
+(d = 5 mod 8) come out directly.  The further solutions follow the Lucas
+recurrence in the trace of the +4 unit.  Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, log
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .errors import InvariantError
 from .lucas import (_CHECK_MODULUS, _TOOM_CUTOFF, LucasParams, SeqTerm,
@@ -68,18 +70,6 @@ class MembershipVerdict:
     index: Optional[int] = None
     parity: Optional[str] = None
     square_witness: Optional[int] = None
-
-
-def compose(d: int, s1: PellSolution, s2: PellSolution) -> PellSolution:
-    """Product of (u1 + v1 sqrt(d))/2 and (u2 + v2 sqrt(d))/2 as a solution.
-
-    Both numerators are always even for solutions of the +-4 equations.
-    """
-    un = s1.u * s2.u + d * s1.v * s2.v
-    vn = s1.u * s2.v + s2.u * s1.v
-    if un % 2 or vn % 2:
-        raise InvariantError("half-integer composition parity broken")
-    return PellSolution(un // 2, vn // 2, s1.sign * s2.sign // 4)
 
 
 def _half_period(d: int) -> tuple[int, list[int], Optional[int]]:
@@ -195,27 +185,35 @@ def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:
     fund = fundamental_solution(problem)
     if fund is None:
         raise ValueError(f"x^2 - {problem.d} y^2 = {problem.sign} has no solution")
-    return _solutions_from(problem, fund, count)
-
-
-def _solutions_from(problem: PellProblem, fund: PellSolution,
-                    count: int) -> list[PellSolution]:
-    """solutions_iter's list from the fundamental solution `fund`, for a
-    caller that has already found it."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    d = problem.d
+    return list(islice(_solutions_from(problem, fund), count))
+
+
+def _solutions_from(problem: PellProblem,
+                    fund: PellSolution) -> Iterator[PellSolution]:
+    """The positive solutions from the fundamental solution `fund` on, in
+    increasing u order, for a caller that has already found it.
+
+    They are the powers of the unit e = (u + v sqrt(d))/2 (odd powers for
+    -4), so u_k and v_k both follow x_{k+1} = s x_k - x_{k-1}, with s the u
+    of the +4 unit: u itself for +4 and u^2 + 2 for -4.  The term before
+    `fund` is (2, 0) for +4 and (-u, v) for -4, since e^-1 = -conj(e) when
+    the norm is -1.  Each solution after `fund` is checked exactly, and a
+    failure raises InvariantError.  A square d has `fund` alone.
+    """
+    yield fund
+    d, sign, u, v = problem.d, problem.sign, fund.u, fund.v
     if isqrt_exact(d) is not None:
-        return [fund]
-    out = [fund]
-    step = fund if problem.sign == 4 else compose(d, fund, fund)
-    cur = fund
-    for _ in range(count - 1):
-        cur = compose(d, cur, step)
-        if not cur.check(d):
-            raise InvariantError(f"composed ({cur.u}, {cur.v}) is not a solution")
-        out.append(cur)
-    return out
+        return
+    s, u_prev, v_prev = (u, 2, 0) if sign == 4 else (u * u + 2, -u, v)
+    while True:
+        u, u_prev = s * u - u_prev, u
+        v, v_prev = s * v - v_prev, v
+        sol = PellSolution(u, v, sign)
+        if not sol.check(d):
+            raise InvariantError(f"recurrence gave ({u}, {v}), not a solution")
+        yield sol
 
 
 def _witness_index(params: LucasParams, n: int, witness: int) -> int:

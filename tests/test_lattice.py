@@ -1,4 +1,5 @@
 import random
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,7 @@ from pellucas.lattice import (Lattice2, disc_group_action, find_roots,
                               so_plus_generator)
 from pellucas.lucas import Mat2, is_square
 from pellucas.oracle import disc_action_direct, enumerate_disc_group
-from pellucas.pell import (PellProblem, PellSolution, compose,
-                           fundamental_solution)
+from pellucas.pell import PellProblem, PellSolution, fundamental_solution
 
 rng = random.Random(20250823)
 
@@ -107,6 +107,15 @@ def test_positive_norm_vector_closed_form():
         positive_norm_vector(make_lattice(-1, 1, -1))  # negative definite
 
 
+def _compose(d, s1, s2):
+    """Reference: the product of (u1 + v1 sqrt(d))/2 and (u2 + v2 sqrt(d))/2,
+    by half-integer composition, independent of the library's recurrence."""
+    un = s1.u * s2.u + d * s1.v * s2.v
+    vn = s1.u * s2.v + s2.u * s1.v
+    assert un % 2 == 0 and vn % 2 == 0
+    return PellSolution(un // 2, vn // 2, s1.sign * s2.sign // 4)
+
+
 def test_generator_group_law():
     for _ in range(50):
         lat = random_hyperbolic(bound=12, nonsquare=True)
@@ -116,7 +125,7 @@ def test_generator_group_law():
         g = isometry_from_pell(lat, fund).g
         acc = g
         for _ in range(4):
-            power = compose(d, power, fund)
+            power = _compose(d, power, fund)
             acc = acc @ g
             assert isometry_from_pell(lat, power).g == acc
 
@@ -173,6 +182,65 @@ def test_find_roots_against_exhaustive_search():
                     assert expect is not None, (a, b, c, target, got)
         checked += 1
     assert checked > 150
+
+
+def _square_disc_root_by_divisors(a, b, c):
+    """Reference: a x^2 + b x y + c y^2 = -1 for b^2 - 4ac = s^2 by trying
+    every divisor e of 4a in 4a(a x^2 + b x y + c y^2) = e f, with
+    e = 2ax + (b - s)y and f = 2ax + (b + s)y."""
+    s = isqrt(b * b - 4 * a * c)
+    if a == 0:
+        for y in (1, -1):
+            num = -1 - c
+            if b != 0 and num % (b * y) == 0:
+                return (num // (b * y), y)
+        return None
+    target = -4 * a
+    for e in range(1, abs(target) + 1):
+        if target % e:
+            continue
+        for e1 in (e, -e):
+            f1 = target // e1
+            if (f1 - e1) % (2 * s):
+                continue
+            y = (f1 - e1) // (2 * s)
+            num = e1 - (b - s) * y
+            if num % (2 * a) == 0:
+                x = num // (2 * a)
+                if a * x * x + b * x * y + c * y * y == -1:
+                    return (x, y)
+    return None
+
+
+def test_square_disc_roots_match_divisor_search():
+    primitive = rooted = 0
+    for a in range(-25, 26):
+        for b in range(-25, 26):
+            for c in range(-25, 26):
+                d = b * b - 4 * a * c
+                if d <= 0 or not is_square(d) or gcd(gcd(a, b), c) != 1:
+                    continue
+                lat = make_lattice(a, b, c)
+                got = find_roots(lat, -2)
+                assert got == _square_disc_root_by_divisors(a, b, c), (a, b, c)
+                if got is not None:
+                    assert lat.norm(*got) == -2
+                primitive += 1
+                rooted += got is not None
+    assert (primitive, rooted) == (8952, 1638)
+
+
+@pytest.mark.parametrize("a, b, witness", [
+    (10 ** 12, 1, (1, -10 ** 12 - 1)), (10 ** 12, 3, None),
+    (10 ** 40, 1, (1, -10 ** 40 - 1)), (-10 ** 40, 1, (-1, 1 - 10 ** 40)),
+    (10 ** 40, 3, None)])
+def test_square_disc_roots_at_large_a(a, b, witness):
+    # 4a divisors would be tried one by one; the closed form takes one step.
+    lat = make_lattice(a, b, 0)
+    got = find_roots(lat, -2)
+    assert got == witness
+    if witness is not None:
+        assert lat.norm(*got) == -2
 
 
 def test_parity_always_holds():

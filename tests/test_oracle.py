@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from pellucas import oracle
+from pellucas import oracle, pell
 from pellucas.intersection import PellSystem, brute_force_common
 from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
@@ -298,3 +298,26 @@ def test_first_root_in_box_matches_scan():
             assert first_root_in_box(gram, bound) == want, (a, b, c, bound)
             hits += want is not None
     assert hits > 200
+
+
+def test_units_oracle_finds_each_unit_once(monkeypatch):
+    # The unit (11 + 3 sqrt(13))/2: the solutions up to 10^300 are (2, 0) and
+    # (V_k, 3 U_k) of (P, Q) = (11, 1) for k = 1..289, one walk of the
+    # continued fraction for all of them.
+    calls = []
+    found = oracle.fundamental_solution
+
+    def counted(problem):
+        calls.append(problem)
+        return found(problem)
+
+    monkeypatch.setattr(oracle, "fundamental_solution", counted)
+    monkeypatch.setattr(pell, "fundamental_solution", counted)
+    got = oracle._solutions_to(13, 4, 10 ** 300)
+    assert len(calls) == 1
+    want = {2: 0}
+    for k in range(1, 290):
+        t = naive_lucas(LucasParams(11, 1), k)
+        want[t.v] = 3 * t.u
+    assert got == want and len(got) == 290
+    assert naive_lucas(LucasParams(11, 1), 290).v > 10 ** 300

@@ -14,9 +14,18 @@ from pellucas.errors import InvariantError
 from pellucas.lucas import (LucasParams, is_square, lucas_uv, m_matrix,
                             mat2_product, n_matrix)
 from pellucas.oracle import enumerate_pell, naive_membership
-from pellucas.pell import (PellProblem, PellSolution, compose,
-                           fundamental_solution, is_gen_fib_a, is_gen_fib_b,
-                           isqrt_exact, solutions_iter)
+from pellucas.pell import (PellProblem, PellSolution, fundamental_solution,
+                           is_gen_fib_a, is_gen_fib_b, isqrt_exact,
+                           solutions_iter)
+
+
+def _compose(d, s1, s2):
+    """Reference: the product of (u1 + v1 sqrt(d))/2 and (u2 + v2 sqrt(d))/2,
+    by half-integer composition, independent of the library's recurrence."""
+    un = s1.u * s2.u + d * s1.v * s2.v
+    vn = s1.u * s2.v + s2.u * s1.v
+    assert un % 2 == 0 and vn % 2 == 0
+    return PellSolution(un // 2, vn // 2, s1.sign * s2.sign // 4)
 
 
 def test_isqrt_exact():
@@ -88,14 +97,14 @@ def test_beta_squared_is_alpha(d):
     if neg is None:
         return
     pos = fundamental_solution(PellProblem(d, 4))
-    assert compose(d, neg, neg) == pos
+    assert _compose(d, neg, neg) == pos
 
 
 def test_composition_sign_and_validity():
     d = 5
     a = fundamental_solution(PellProblem(d, 4))
     b = fundamental_solution(PellProblem(d, -4))
-    mixed = compose(d, a, b)
+    mixed = _compose(d, a, b)
     assert mixed.sign == -4 and mixed.check(d)
 
 
@@ -229,12 +238,66 @@ def _raises_under_python_O(setup, call):
     return out.stdout.strip() == "InvariantError"
 
 
-def test_compose_parity_error_survives_python_O():
-    assert _raises_under_python_O(
-        "from pellucas.pell import PellSolution, compose",
-        "compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))")
+def test_corrupt_unit_raises_on_the_next_solution_under_python_O():
+    # (3, 2) does not solve u^2 - 5 v^2 = 4; the recurrence in its trace
+    # gives (7, 6), which the exact check rejects.
+    setup = ("from pellucas.pell import PellProblem, PellSolution, "
+             "_solutions_from\n"
+             "gen = _solutions_from(PellProblem(5, 4), PellSolution(3, 2, 4))\n"
+             "next(gen)")
+    assert _raises_under_python_O(setup, "next(gen)")
+    gen = pell._solutions_from(PellProblem(5, 4), PellSolution(3, 2, 4))
+    assert next(gen) == PellSolution(3, 2, 4)
     with pytest.raises(InvariantError):
-        compose(5, PellSolution(1, 2, 4), PellSolution(1, 1, 4))
+        next(gen)
+
+
+# --- solutions as a Lucas sequence ---------------------------------------------
+
+def _lucas_solutions(d, sign, count):
+    """Reference: the k-th solution is (V_k(u, N), v U_k(u, N)) for the unit
+    (u + v sqrt(d))/2 of norm N = sign/4, over k = 1, 2, ... for +4 and
+    odd k for -4, each term from its own lucas_uv call."""
+    fund = fundamental_solution(PellProblem(d, sign))
+    ks = range(1, count + 1) if sign == 4 else range(1, 2 * count, 2)
+    terms = (lucas_uv(LucasParams(fund.u, sign // 4), k) for k in ks)
+    return [(t.v, fund.v * t.u) for t in terms]
+
+
+def test_solutions_are_lucas_terms_below_2000():
+    for d in range(2, 2000):
+        if is_square(d):
+            continue
+        for sign in (4, -4):
+            if fundamental_solution(PellProblem(d, sign)) is None:
+                continue
+            got = [(s.u, s.v) for s in solutions_iter(PellProblem(d, sign), 12)]
+            assert got == _lucas_solutions(d, sign, 12), (d, sign)
+
+
+@given(st.integers(10 ** 9, 10 ** 11))
+@settings(max_examples=5, deadline=None)
+def test_solutions_are_lucas_terms_bigint(d):
+    assume(not is_square(d))
+    for sign in (4, -4):
+        if fundamental_solution(PellProblem(d, sign)) is None:
+            continue
+        got = [(s.u, s.v) for s in solutions_iter(PellProblem(d, sign), 4)]
+        assert got == _lucas_solutions(d, sign, 4), (d, sign)
+
+
+def test_square_d_has_the_fundamental_solution_alone():
+    # Without the stop, d = 4 with -4 would repeat (0, 1) forever.
+    for d, sign, fund in ((4, -4, (0, 1)), (1, -4, (0, 2)), (9, 4, (2, 0))):
+        sols = solutions_iter(PellProblem(d, sign), 5)
+        assert [(s.u, s.v) for s in sols] == [fund]
+
+
+def test_count_is_checked_after_solvability():
+    with pytest.raises(ValueError, match="has no solution"):
+        solutions_iter(PellProblem(7, -4), 0)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        solutions_iter(PellProblem(7, 4), 0)
 
 
 # --- half-period kernel -------------------------------------------------------
