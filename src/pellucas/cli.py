@@ -224,6 +224,8 @@ def cmd_lucas(args, rec: Record) -> int:
 
 
 def cmd_pell(args, rec: Record) -> int:
+    if args.count < 1:
+        raise ValueError("count must be >= 1")
     problem = pell.PellProblem(args.d, args.sign)
     fund = pell.fundamental_solution(problem)
     if fund is None:
@@ -233,8 +235,6 @@ def cmd_pell(args, rec: Record) -> int:
         return EXIT_OK
     rec.result["solvable"] = True
     rec.result["fundamental"] = {"u": fund.u, "v": fund.v}
-    if args.count < 1:
-        raise ValueError("count must be >= 1")
     sols = list(islice(pell._solutions_from(problem, fund), args.count))
     rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:

@@ -1,35 +1,48 @@
 """Intersections of Lucas V-sequences via systems of two +-4 Pell equations.
 
-A system pairs x^2 - d1 y^2 = e1*4 with x^2 - d2 z^2 = e2*4.  The common
-x-values form either the single point x = 2 (when d1*d2 is not a square),
-an infinite Lucas V-sequence (when it is), or, for the mixed-sign variant,
-a finite set that is only ever enumerated under an explicit bound.
+A system pairs x^2 - d1 y^2 = e1 with x^2 - d2 z^2 = e2.  Equation i is a
+leg, the Lucas sequence (p_i, q_i) with d_i = p_i^2 - 4 q_i and unit
+alpha_i = (p_i + sqrt(d_i))/2; the flavor fixes q1, q2 and the sign pairs
+(e1, e2) (``_LEGS``).  The common x-values form either the single point
+x = 2 (when d1*d2 is not a square), an infinite Lucas V-sequence (when it
+is), or, for the opposite-sign variant, a finite set that is only ever
+enumerated under an explicit bound.  The infinite sequence comes from the
+least (m, n) with alpha1^m = alpha2^n, a convergent of
+log alpha2 / log alpha1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import InvariantError, SearchCapExceeded
 from .lucas import LucasParams, is_square, lucas_uv
 from .oracle import square_rows
-from .pell import isqrt_exact
+from .pell import _log_alpha, isqrt_exact
 
-FLAVORS = ("plus_plus", "minus_minus", "mixed", "opposite_signs")
+# flavor: (q1, q2, sign pairs (e1, e2) in the order searches prefer them).
+_LEGS = {
+    "plus_plus": (-1, -1, ((4, 4), (-4, -4))),
+    "minus_minus": (1, 1, ((4, 4),)),
+    "mixed": (-1, 1, ((4, 4),)),
+    "opposite_signs": (-1, -1, ((4, -4), (-4, 4))),  # finite solution set
+}
+FLAVORS = tuple(_LEGS)
 
 DEFAULT_CAP = 10 ** 6
+# Largest m*n for which the double log alpha2 / log alpha1 is sure to have
+# the least match among its convergents; derived in minimal_trace_match.
+_MATCH_BOUND = 10 ** 13
 
 
 @dataclass(frozen=True)
 class PellSystem:
-    """Two-equation system; p1/p2 are the recurrence coefficients.
+    """Two-equation system; p1/p2 are the recurrence coefficients of the legs.
 
-    plus_plus:      d_i = p_i^2 + 4, same sign (+-4) on both equations.
-    minus_minus:    d_i = p_i^2 - 4, +4 on both; needs p1 != p2, p_i >= 4.
-    mixed:          d1 = p1^2 + 4, d2 = p2^2 - 4, +4 on both; needs p2 >= 4.
-    opposite_signs: d_i = p_i^2 + 4, opposite signs; finite solution set.
+    A leg with q = +1 needs p >= 4, one with q = -1 needs p >= 1, and two
+    legs with the same q need p1 != p2.
     """
 
     flavor: str
@@ -37,41 +50,33 @@ class PellSystem:
     p2: int
 
     def __post_init__(self):
-        if self.flavor not in FLAVORS:
+        if self.flavor not in _LEGS:
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor in ("plus_plus", "opposite_signs"):
-            if self.p1 < 1 or self.p2 < 1 or self.p1 == self.p2:
-                raise ValueError("need p1, p2 >= 1 and p1 != p2")
-        elif self.flavor == "minus_minus":
-            if self.p1 < 4 or self.p2 < 4 or self.p1 == self.p2:
-                raise ValueError("need p1, p2 >= 4 and p1 != p2")
-        else:  # mixed
-            if self.p1 < 1 or self.p2 < 4:
-                raise ValueError("need p1 >= 1 and p2 >= 4")
+        q1, q2, _ = _LEGS[self.flavor]
+        for name, p, q in (("p1", self.p1, q1), ("p2", self.p2, q2)):
+            least = 4 if q == 1 else 1
+            if p < least:
+                raise ValueError(f"need {name} >= {least} for {self.flavor}")
+        if q1 == q2 and self.p1 == self.p2:
+            raise ValueError("need p1 != p2")
 
     @property
     def d1(self) -> int:
-        if self.flavor == "minus_minus":
-            return self.p1 * self.p1 - 4
-        return self.p1 * self.p1 + 4
+        return self.p1 * self.p1 - 4 * _LEGS[self.flavor][0]
 
     @property
     def d2(self) -> int:
-        if self.flavor in ("minus_minus", "mixed"):
-            return self.p2 * self.p2 - 4
-        return self.p2 * self.p2 + 4
+        return self.p2 * self.p2 - 4 * _LEGS[self.flavor][1]
 
     @property
-    def signs1(self) -> tuple[int, ...]:
-        """Admissible right-hand sides of the first equation."""
-        return (4, -4) if self.flavor in ("plus_plus", "opposite_signs") else (4,)
+    def sign_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Admissible right-hand sides (e1, e2) of the two equations."""
+        return _LEGS[self.flavor][2]
 
-    def signs2_for(self, sign1: int) -> tuple[int, ...]:
-        if self.flavor == "plus_plus":
-            return (sign1,)
-        if self.flavor == "opposite_signs":
-            return (-sign1,)
-        return (4,)
+
+def _legs(system: PellSystem) -> tuple[LucasParams, LucasParams]:
+    q1, q2, _ = _LEGS[system.flavor]
+    return LucasParams(system.p1, q1), LucasParams(system.p2, q2)
 
 
 @dataclass(frozen=True)
@@ -87,105 +92,99 @@ def square_product_test(system: PellSystem) -> bool:
     return is_square(system.d1 * system.d2)
 
 
-def _weights(system: PellSystem, side: int, step: int):
-    """d_i * (i-th sequence term)^2 at index m = step, 2*step, 3*step, ...
-
-    Matching these weights is the same as matching the traces
-    d*term^2 +- 2 of the corresponding matrix powers.  The terms come from
-    stepping the recurrence u_{m+1} = p u_m - q u_{m-1} (q = -1 for the
-    a-sequence, +1 for the b-sequence), one square per yielded weight.
-    """
-    if side == 1:
-        d, p = system.d1, system.p1
-        q = 1 if system.flavor == "minus_minus" else -1
-    else:
-        d, p = system.d2, system.p2
-        q = 1 if system.flavor in ("minus_minus", "mixed") else -1
-    prev, cur = 0, 1
-    while True:
-        for _ in range(step - 1):
-            prev, cur = cur, p * cur - q * prev
-        yield d * cur * cur
-        prev, cur = cur, p * cur - q * prev
+def _convergents(x: float) -> Iterator[tuple[int, int]]:
+    """The convergents h/k of x, by integer Euclid on the exact rational
+    that the double holds; the last one is x itself."""
+    num, den = x.as_integer_ratio()
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    while den:
+        a, num, den = num // den, den, num % den
+        h, h_prev, k, k_prev = a * h + h_prev, h, a * k + k_prev, k
+        yield h, k
 
 
 def minimal_trace_match(system: PellSystem,
                         cap: int = DEFAULT_CAP) -> tuple[int, int]:
     """Least (m, n) with equal traces of the two matrix powers.
 
-    Two-pointer merge over the strictly increasing weight sequences
-    d1*u_m^2 and d2*w_n^2; the plus_plus flavor additionally requires m and
-    n to have the same parity, and the mixed flavor searches even m only.
+    The traces match exactly when alpha1^m = alpha2^n, that is when
+    V_m = V_n and d1 U_m^2 = d2 U_n^2 on the two legs.  Equal units have
+    equal norms q1^m = q2^n, so m and n have the same parity for plus_plus
+    and m is even for mixed.  When d1*d2 is a square both units are powers
+    of the fundamental unit eta of one field, so the matches are the
+    multiples of one coprime pair (m0, n0), with m0/n0 = r, r =
+    log alpha2 / log alpha1.  The convergents of the double r are walked
+    exactly, m = 0 skipped, and the first that passes both exact checks is
+    returned; a convergent is coprime, so it is (m0, n0) itself.
+
+    Precision.  ``pell._log_alpha`` takes log(2^65 alpha) - 65 log 2.  For
+    log alpha < 19 the first log lies in [32, 64) and the subtraction is
+    exact, so the ulp of that log (2^-47), the rounding of 65 log 2
+    (2^-48), 65 half-ulps of log 2 (65 * 2^-54) and the rounding of
+    2^65 alpha to a double (2^-53) bound the error by 1.5e-14; past 19 the
+    relative error is below 1.5e-15.  eta is at least the golden ratio phi, so one unit is at least
+    phi and the other, a different power of eta, at least phi^2: the double
+    r carries a relative error delta < 1.5e-14 (1/log phi + 1/log phi^2)
+    + 2^-53 < 4.7e-14.  By Legendre's theorem m0/n0 is a convergent once
+    |r - m0/n0| <= delta m0/n0 < 1/(2 n0^2), that is once
+    m0 n0 < 1/(2 delta), 1.06e13.  So every pair with m*n <= 10^13
+    (``_MATCH_BOUND``, ten times the default cap squared) is found, and no
+    convergent past that bound is tried.
+
+    Raises SearchCapExceeded when no pair with max(m, n) <= cap exists, or,
+    for a cap above sqrt(10^13), none with m*n <= 10^13 as well; the
+    message names the bound searched.
     """
     if system.flavor == "opposite_signs":
         raise ValueError("the opposite-sign system has no infinite family")
     if not square_product_test(system):
         raise ValueError("no trace match exists: d1*d2 is not a square")
-    step1 = 2 if system.flavor == "mixed" else 1
-    w1, w2 = _weights(system, 1, step1), _weights(system, 2, 1)
-    m, n = step1, 1
-    a, b = next(w1), next(w2)
-    parity_matters = system.flavor == "plus_plus"
-    while max(m, n) <= cap:
-        if a == b and (not parity_matters or (m - n) % 2 == 0):
+    leg1, leg2 = _legs(system)
+    for m, n in _convergents(_log_alpha(leg2) / _log_alpha(leg1)):
+        if max(m, n) > cap or m * n > _MATCH_BOUND:
+            break
+        if m == 0:
+            continue
+        t1, t2 = lucas_uv(leg1, m), lucas_uv(leg2, n)
+        if t1.v == t2.v and system.d1 * t1.u ** 2 == system.d2 * t2.u ** 2:
             return m, n
-        advance1, advance2 = a <= b, b <= a
-        if advance1:
-            m += step1
-            a = next(w1)
-        if advance2:
-            n += 1
-            b = next(w2)
-    raise SearchCapExceeded(
-        f"no trace match with max(m, n) <= {cap} for {system}")
+    searched = f"max(m, n) <= {cap}"
+    if cap * cap > _MATCH_BOUND:
+        searched += f" and m*n <= {_MATCH_BOUND}"
+    raise SearchCapExceeded(f"no trace match with {searched} for {system}")
 
 
 def common_lucas_params(system: PellSystem, m: int, n: int) -> LucasParams:
     """Lucas parameters of the common-x sequence for the minimal pair (m, n).
 
-    The coefficient is the m-th V-term of the first sequence (equal to the
-    n-th V-term of the second), the eigenvalue-power sum written in integers.
+    Its unit is alpha1^m = alpha2^n: the coefficient is the m-th V-term of
+    leg 1 (equal to the n-th V-term of leg 2), and q is the norm q1^m.
     """
-    if system.flavor == "plus_plus":
-        p = lucas_uv(LucasParams(system.p1, -1), m).v
-        p_other = lucas_uv(LucasParams(system.p2, -1), n).v
-        q = (-1) ** m
-    elif system.flavor == "minus_minus":
-        p = lucas_uv(LucasParams(system.p1, 1), m).v
-        p_other = lucas_uv(LucasParams(system.p2, 1), n).v
-        q = 1
-    else:  # mixed: m is even, so the V-term is the plain eigenvalue-power sum
-        p = lucas_uv(LucasParams(system.p1, -1), m).v
-        p_other = lucas_uv(LucasParams(system.p2, 1), n).v
-        q = 1
+    leg1, leg2 = _legs(system)
+    p, p_other = lucas_uv(leg1, m).v, lucas_uv(leg2, n).v
     if p != p_other:
         raise InvariantError(f"the two minimal V-terms disagree: {p} != {p_other}")
-    params = LucasParams(p, q)
+    params = LucasParams(p, leg1.q ** m)
     if is_square(params.discriminant):
         raise InvariantError("common discriminant unexpectedly square")
     return params
 
 
-def _solve_coordinate(x: int, d: int, signs: tuple[int, ...]
-                      ) -> Optional[tuple[int, int]]:
-    """(coordinate, sign) with x^2 - d*coord^2 = sign, trying each sign."""
-    for sign in signs:
-        num = x * x - sign
-        if num >= 0 and num % d == 0:
-            root = isqrt_exact(num // d)
-            if root is not None:
-                return root, sign
-    return None
+def _coordinate(x: int, d: int, sign: int) -> Optional[int]:
+    """The y >= 0 with x^2 - d*y^2 = sign, or None."""
+    num = x * x - sign
+    if num < 0 or num % d:
+        return None
+    return isqrt_exact(num // d)
 
 
 def _triple_for_x(system: PellSystem, x: int) -> Optional[tuple[int, int, int]]:
-    for sign1 in system.signs1:
-        yc = _solve_coordinate(x, system.d1, (sign1,))
-        if yc is None:
-            continue
-        zc = _solve_coordinate(x, system.d2, system.signs2_for(sign1))
-        if zc is not None:
-            return (x, yc[0], zc[0])
+    for sign1, sign2 in system.sign_pairs:
+        y = _coordinate(x, system.d1, sign1)
+        if y is not None:
+            z = _coordinate(x, system.d2, sign2)
+            if z is not None:
+                return x, y, z
     return None
 
 
@@ -225,13 +224,13 @@ def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int,
     The scanned w is that equation's coordinate; the other coordinate solves
     the other equation, under the flavor's sign pairing, by an exact isqrt.
     Nothing is shared with the fast path of ``intersect``.  An x that solves
-    two sign pairings takes the first pairing, in the order of ``signs1``.
+    two sign pairings takes the first pairing, in the order of ``sign_pairs``.
     Bounds whose rows would leave int64 raise ValueError before any row is
     scanned.
     """
     if x_bound < 2:
         raise ValueError("x_bound must be >= 2")
-    pairs = [(s1, s2) for s1 in system.signs1 for s2 in system.signs2_for(s1)]
+    pairs = system.sign_pairs
     scan_first = system.d1 >= system.d2
     d, d_other = ((system.d1, system.d2) if scan_first
                   else (system.d2, system.d1))

@@ -83,12 +83,6 @@ class LucasParams:
     def discriminant(self) -> int:
         return self.p * self.p - 4 * self.q
 
-    @property
-    def nondegenerate(self) -> bool:
-        """True when the discriminant is positive and not a perfect square."""
-        d = self.discriminant
-        return d > 0 and not is_square(d)
-
 
 @dataclass(frozen=True)
 class SeqTerm:
@@ -132,16 +126,9 @@ class Mat2:
             n >>= 1
         return result
 
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.e00 + other.e00, self.e01 + other.e01,
-                    self.e10 + other.e10, self.e11 + other.e11)
-
     def __sub__(self, other: "Mat2") -> "Mat2":
         return Mat2(self.e00 - other.e00, self.e01 - other.e01,
                     self.e10 - other.e10, self.e11 - other.e11)
-
-    def __neg__(self) -> "Mat2":
-        return Mat2(-self.e00, -self.e01, -self.e10, -self.e11)
 
     @property
     def trace(self) -> int:

@@ -174,15 +174,14 @@ def common_from_units(system, x_bound: int) -> list[tuple[int, int, int]]:
     For each sign pairing, the x-values of the two equations' solutions up
     to x_bound are intersected; no square search is involved, so this
     checks ``intersection.brute_force_common``.  As there, an x that solves
-    two sign pairings takes the first pairing, in the order of ``signs1``.
+    two sign pairings takes the first pairing, in the order of ``sign_pairs``.
     """
     out = {}
-    for s1 in system.signs1:
-        for s2 in system.signs2_for(s1):
-            first = _solutions_to(system.d1, s1, x_bound)
-            second = _solutions_to(system.d2, s2, x_bound)
-            for x in first.keys() & second.keys():
-                out.setdefault(x, (x, first[x], second[x]))
+    for s1, s2 in system.sign_pairs:
+        first = _solutions_to(system.d1, s1, x_bound)
+        second = _solutions_to(system.d2, s2, x_bound)
+        for x in first.keys() & second.keys():
+            out.setdefault(x, (x, first[x], second[x]))
     return [out[x] for x in sorted(out)]
 
 

@@ -180,13 +180,14 @@ def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:
     """First `count` positive solutions in increasing u order.
 
     +4: powers of the fundamental +4 solution; -4: odd powers of the
-    fundamental -4 solution.  Raises ValueError when no solution exists.
+    fundamental -4 solution.  Raises ValueError when count < 1, and then
+    when no solution exists.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     fund = fundamental_solution(problem)
     if fund is None:
         raise ValueError(f"x^2 - {problem.d} y^2 = {problem.sign} has no solution")
-    if count < 1:
-        raise ValueError("count must be >= 1")
     return list(islice(_solutions_from(problem, fund), count))
 
 
@@ -216,18 +217,22 @@ def _solutions_from(problem: PellProblem,
         yield sol
 
 
+def _log_alpha(params: LucasParams) -> float:
+    """log alpha, alpha = (p + sqrt(D))/2 the larger root, in double
+    precision at any size of p: alpha carries 64 extra bits, and the log of
+    the integer 2^65 alpha is taken before 65 log 2 is subtracted."""
+    return log((params.p << 64) + isqrt(params.discriminant << 128)) \
+        - 65 * log(2)
+
+
 def _witness_index(params: LucasParams, n: int, witness: int) -> int:
     """The k >= 1 with (U_k, V_k) = (n, witness), for a witness known to solve
     the Pell equation of the sequence.
 
     V_k = alpha^k + beta^k with |beta| = 1/alpha, so log(witness)/log(alpha)
-    is k to within one; at most three lucas_uv calls confirm it.  alpha =
-    (p + sqrt(D))/2 carries 64 extra bits, so its log is good to double
-    precision at any size of p.
+    is k to within one; at most three lucas_uv calls confirm it.
     """
-    log_alpha = log((params.p << 64) + isqrt(params.discriminant << 128)) \
-        - 65 * log(2)
-    k = round(log(witness) / log_alpha)
+    k = round(log(witness) / _log_alpha(params))
     for j in (k, k - 1, k + 1):
         if j >= 1 and lucas_uv(params, j) == SeqTerm(j, n, witness):
             return j

@@ -18,8 +18,8 @@ from pellucas.intersection import (PellSystem, brute_force_common, intersect,
 from pellucas.k3 import classify_case_a, correspondence_roundtrip
 from pellucas.lattice import (disc_group_action, isometry_from_pell,
                               make_lattice, so_plus_generator)
-from pellucas.lucas import (LucasParams, gen_fib_a, gen_fib_b, is_square,
-                            lucas_uv, m_matrix, n_matrix)
+from pellucas.lucas import (LucasParams, Mat2, gen_fib_a, gen_fib_b,
+                            is_square, lucas_uv, m_matrix, n_matrix)
 from pellucas.oracle import (disc_action_direct, enumerate_pell,
                              whitney_member_mask)
 from pellucas.pell import (MembershipVerdict, PellProblem, PellSolution,
@@ -192,7 +192,7 @@ def test_05_disc_action_agreement(capsys):
                     continue
                 lat = make_lattice(a, b, c)
                 gen = so_plus_generator(lat)
-                for g in (gen.g, -gen.g, gen.g @ gen.g):
+                for g in (gen.g, Mat2(-1, 0, 0, -1) @ gen.g, gen.g @ gen.g):
                     if disc_group_action(lat, g) != disc_action_direct(lat, g):
                         bad = (a, b, c)
                         break
@@ -273,10 +273,8 @@ def test_08_intersections_to_1e9(capsys):
             bad = (system.flavor, "closed form")
             break
         for x, y, z in r.solutions:
-            ok1 = any(x * x - system.d1 * y * y == s for s in system.signs1)
-            ok2 = any(x * x - system.d2 * z * z == s
-                      for s1 in system.signs1 for s in system.signs2_for(s1))
-            if not (ok1 and ok2):
+            if (x * x - system.d1 * y * y,
+                    x * x - system.d2 * z * z) not in system.sign_pairs:
                 bad = (system.flavor, "substitution", x)
                 break
         if bad:

@@ -68,6 +68,13 @@ def test_pell_unsolvable_status_vs_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("sign", ["4", "-4"])  # 7 is unsolvable with -4
+def test_pell_count_is_checked_before_solvability(capsys, sign):
+    code, out, err = run(capsys, "pell", "--d", "7", f"--sign={sign}",
+                         "--count", "0")
+    assert code == 2 and out == "" and "count must be >= 1" in err
+
+
 @pytest.mark.parametrize("d, sign, solvable", [(13, 4, True), (13, -4, True),
                                                (7, -4, False)])
 def test_pell_builds_the_unit_once(capsys, monkeypatch, d, sign, solvable):
@@ -301,7 +308,7 @@ def _pellucas(*argv):
     """``pellucas <argv>`` as a subprocess under the default digit limit."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PELLUCAS_")}
     env.update(PYTHONPATH=str(SRC), PYTHONINTMAXSTRDIGITS="4300")
-    return subprocess.run([sys.executable, "-m", "pellucas.cli", *argv],
+    return subprocess.run([sys.executable, "-B", "-m", "pellucas.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=120)
 
 

@@ -1,9 +1,15 @@
+from fractions import Fraction
+from itertools import islice
+from math import pi
+
 import pytest
 
-from pellucas.intersection import (PellSystem, SearchCapExceeded,
-                                   _triple_for_x, brute_force_common,
-                                   common_lucas_params, intersect,
-                                   minimal_trace_match, square_product_test)
+from pellucas import intersection
+from pellucas.intersection import (DEFAULT_CAP, PellSystem, SearchCapExceeded,
+                                   _convergents, _triple_for_x,
+                                   brute_force_common, common_lucas_params,
+                                   intersect, minimal_trace_match,
+                                   square_product_test)
 from pellucas.lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
 from pellucas.oracle import common_from_units
 
@@ -14,13 +20,18 @@ def test_square_product_examples():
     assert square_product_test(PellSystem("minus_minus", 4, 14))
 
 
-# Each cap sits just above the known answer's max(m, n), so a merge that
-# skips the match fails at once instead of running on toward the default cap.
+# Each cap sits at or just above the known answer's max(m, n), so a search
+# that skips the match fails at once instead of running on toward the
+# default cap.
 
 def test_minimal_trace_match_examples():
     assert minimal_trace_match(PellSystem("plus_plus", 1, 4), cap=4) == (3, 1)
     assert minimal_trace_match(PellSystem("minus_minus", 4, 14), cap=3) == (2, 1)
     assert minimal_trace_match(PellSystem("mixed", 1, 7), cap=5) == (4, 1)
+    # Both indices above 1, in both orders.
+    assert minimal_trace_match(PellSystem("plus_plus", 4, 11), cap=5) == (5, 3)
+    assert minimal_trace_match(PellSystem("plus_plus", 11, 4), cap=5) == (3, 5)
+    assert minimal_trace_match(PellSystem("mixed", 11, 18), cap=6) == (6, 5)
 
 
 def test_intersect_examples():
@@ -96,10 +107,8 @@ def test_solutions_substitute_exactly():
                    PellSystem("mixed", 1, 7)):
         r = intersect(system, 8)
         for x, y, z in r.solutions:
-            ok1 = any(x * x - system.d1 * y * y == s for s in system.signs1)
-            ok2 = any(x * x - system.d2 * z * z == s
-                      for s1 in system.signs1 for s in system.signs2_for(s1))
-            assert ok1 and ok2
+            assert (x * x - system.d1 * y * y,
+                    x * x - system.d2 * z * z) in system.sign_pairs
 
 
 def test_lucas_closure_of_emitted_x():
@@ -153,7 +162,7 @@ def test_domain_validation():
 
 def test_cap_exceeded_is_reported():
     system = PellSystem("plus_plus", 1, 4)
-    with pytest.raises(SearchCapExceeded):
+    with pytest.raises(SearchCapExceeded, match=r"max\(m, n\) <= 2 for"):
         minimal_trace_match(system, cap=2)
 
 
@@ -197,19 +206,88 @@ def _trace_match_reference(system, cap=10 ** 4):
     return None
 
 
+def _square_systems(top):
+    """Every square system of the three infinite flavors with p1, p2 <= top,
+    in both orders."""
+    systems = []
+    for flavor in ("plus_plus", "minus_minus", "mixed"):
+        for p1 in range(1, top + 1):
+            for p2 in range(1, top + 1):
+                try:
+                    system = PellSystem(flavor, p1, p2)
+                except ValueError:
+                    continue
+                if square_product_test(system):
+                    systems.append(system)
+    return systems
+
+
+def _towers():
+    """p2 = V_k(p1) and its mirror: the least match is (k, 1), or (1, k)."""
+    out = []
+    for flavor, q, p1, k in (("plus_plus", -1, 1, 3001),
+                             ("plus_plus", -1, 2, 1001),
+                             ("minus_minus", 1, 4, 1000),
+                             ("minus_minus", 1, 5, 3)):
+        p2 = lucas_uv(LucasParams(p1, q), k).v
+        out += [(PellSystem(flavor, p1, p2), (k, 1)),
+                (PellSystem(flavor, p2, p1), (1, k))]
+    return out
+
+
 def test_minimal_trace_match_matches_recomputed_weights():
-    systems = [PellSystem("plus_plus", p1, p2)
-               for p1 in range(1, 12) for p2 in range(p1 + 1, 13)]
-    systems += [PellSystem("minus_minus", p1, p2)
-                for p1 in range(4, 12) for p2 in range(p1 + 1, 13)]
-    systems += [PellSystem("mixed", a, b)
-                for a in range(1, 8) for b in range(4, 13)]
-    systems = [s for s in systems if square_product_test(s)]
-    # One long pair: p2 = V_1001(2, -1), so the match is (1001, 1).
-    systems.append(PellSystem("plus_plus", 2,
-                              lucas_uv(LucasParams(2, -1), 1001).v))
-    assert len(systems) == 8
+    systems = _square_systems(60)
+    assert len(systems) == 53
+    assert sum(s.p1 > s.p2 for s in systems) == 21
     for system in systems:
-        assert minimal_trace_match(system, cap=10 ** 4) \
-            == _trace_match_reference(system), system
-    assert minimal_trace_match(systems[-1], cap=1002) == (1001, 1)
+        m, n = minimal_trace_match(system, cap=10 ** 4)
+        assert (m, n) == _trace_match_reference(system), system
+        with pytest.raises(SearchCapExceeded):
+            minimal_trace_match(system, cap=max(m, n) - 1)
+    for system, pair in _towers():
+        assert minimal_trace_match(system, cap=max(pair)) == pair, system
+        with pytest.raises(SearchCapExceeded):
+            minimal_trace_match(system, cap=max(pair) - 1)
+    # p2 = V_1001(2, -1) against the reference's own walk.
+    system = _towers()[2][0]
+    assert _trace_match_reference(system, cap=1001) == (1001, 1)
+
+
+def test_convergents_are_exact():
+    # Integer Euclid on the double's rational: the known head of pi's
+    # expansion, then on to the double itself, each step unimodular.
+    conv = list(islice(_convergents(pi), 100))
+    assert conv[:4] == [(3, 1), (22, 7), (333, 106), (355, 113)]
+    assert Fraction(*conv[-1]) == Fraction(pi)
+    for (h0, k0), (h1, k1) in zip(conv, conv[1:]):
+        assert abs(h1 * k0 - h0 * k1) == 1
+    assert list(_convergents(0.75)) == [(0, 1), (1, 1), (3, 4)]
+    assert list(_convergents(3.0)) == [(3, 1)]
+
+
+def test_precision_bound_covers_the_default_cap():
+    assert intersection._MATCH_BOUND >= DEFAULT_CAP ** 2
+    system = PellSystem("plus_plus", 1, 4)
+    assert minimal_trace_match(system, cap=10 ** 7) == (3, 1)
+
+
+def test_cap_past_the_precision_bound_names_the_bound(monkeypatch):
+    # With a bound of 2, (3, 1) lies past it: a cap above sqrt(2) reports
+    # the bound it searched, a cap below it the cap alone.
+    monkeypatch.setattr(intersection, "_MATCH_BOUND", 2)
+    system = PellSystem("plus_plus", 1, 4)
+    with pytest.raises(SearchCapExceeded,
+                       match=r"max\(m, n\) <= 3 and m\*n <= 2 "):
+        minimal_trace_match(system, cap=3)
+    with pytest.raises(SearchCapExceeded, match=r"max\(m, n\) <= 1 for"):
+        minimal_trace_match(system, cap=1)
+
+
+def test_an_imprecise_ratio_raises_instead_of_returning_a_pair(monkeypatch):
+    # log alpha2 / log alpha1 read as 7/4 instead of 5/3: the convergents
+    # 1/1, 2/1, 7/4 all fail the exact check, and the walk ends.
+    system = PellSystem("plus_plus", 4, 11)
+    monkeypatch.setattr(intersection, "_log_alpha",
+                        lambda params: {4: 4.0, 11: 7.0}[params.p])
+    with pytest.raises(SearchCapExceeded):
+        minimal_trace_match(system)

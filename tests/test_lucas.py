@@ -148,8 +148,8 @@ def test_negative_index_rejected():
 
 
 def test_degenerate_params_still_evaluate():
-    params = LucasParams(2, 1)  # discriminant 0
-    assert not params.nondegenerate
+    params = LucasParams(2, 1)
+    assert params.discriminant == 0
     t = lucas_uv(params, 7)
     assert (t.u, t.v) == (7, 2)  # U_n = n, V_n = 2 at the repeated root 1
 
@@ -396,8 +396,9 @@ for delta in (0.5, 1.0):
             print("raised")
 """
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, timeout=120, env={"PYTHONPATH": str(src)})
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", code],
+                         capture_output=True, text=True, timeout=120,
+                         env={"PYTHONPATH": str(src)})
     assert out.stdout.split() == ["raised"] * 4, out.stderr
 
 

@@ -16,7 +16,7 @@ def test_cli_import_does_not_load_numpy():
             "pellucas.lucas.lucas_uv(pellucas.lucas.LucasParams(1, -1), 10 ** 4)\n"
             "loaded.append('numpy' in sys.modules)\n"
             "print(loaded, file=sys.stderr)\n")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
                          text=True, check=True, timeout=60,
                          env={"PYTHONPATH": str(PACKAGE.parent)})
     assert out.stderr.strip() == "[False, False]"

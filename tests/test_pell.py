@@ -232,7 +232,7 @@ def _raises_under_python_O(setup, call):
             "assert False, 'asserts must be stripped'\n"
             f"try:\n    {call}\nexcept InvariantError:\n"
             "    print('InvariantError')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", code], capture_output=True,
                          text=True, env={"PYTHONPATH": str(src)}, timeout=60)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip() == "InvariantError"
@@ -293,11 +293,12 @@ def test_square_d_has_the_fundamental_solution_alone():
         assert [(s.u, s.v) for s in sols] == [fund]
 
 
-def test_count_is_checked_after_solvability():
+def test_count_is_checked_before_solvability():
+    for sign in (4, -4):  # x^2 - 7 y^2 = -4 has no solution
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            solutions_iter(PellProblem(7, sign), 0)
     with pytest.raises(ValueError, match="has no solution"):
-        solutions_iter(PellProblem(7, -4), 0)
-    with pytest.raises(ValueError, match="count must be >= 1"):
-        solutions_iter(PellProblem(7, 4), 0)
+        solutions_iter(PellProblem(7, -4), 1)
 
 
 # --- half-period kernel -------------------------------------------------------

@@ -20,7 +20,7 @@ RUNS = [
 
 def _rows(script, args, row_prefix):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+    out = subprocess.run([sys.executable, "-B", str(ROOT / "scripts" / script), *args],
                          capture_output=True, text=True, timeout=120, env=env)
     assert out.returncode == 0, out.stderr
     return [line for line in out.stdout.splitlines()
