@@ -3,10 +3,14 @@
 Subcommands: lucas, pell, member, lattice, k3, intersect.  Global flags
 --format/--verify/--cap/--bound work on every subcommand, and each flag can
 be preset through an environment variable PELLUCAS_<FLAG> (e.g.
-PELLUCAS_FORMAT=structured).  Structured output is one JSON document per
-invocation with keys {command, inputs, result, verify, version}; every
-integer is serialized as a decimal string because results outgrow 64 bits
-quickly.
+PELLUCAS_FORMAT=structured), which is converted and checked as the flag's
+value is: a bad preset is a usage error.  Structured output is one JSON
+document per invocation with keys {command, inputs, result, verify,
+version}; every integer is serialized as a decimal string because results
+outgrow 64 bits quickly.
+
+Each subcommand imports the modules it runs (the oracle only under
+--verify), so parsing the command line loads no math module.
 
 Integers of any size cross the boundary both ways: _int_to_str and
 _parse_int convert past the interpreter's int/str digit limit without
@@ -21,19 +25,14 @@ then).
 from __future__ import annotations
 
 import argparse
-import decimal
-import json
 import os
 import re
 import sys
 import time
 import warnings
-from dataclasses import asdict, is_dataclass
 from itertools import islice
 
 from . import __version__
-from . import intersection as ix
-from . import k3, lattice as lat, lucas, oracle, pell
 from .errors import InvariantError, SearchCapExceeded
 
 ENV_PREFIX = "PELLUCAS_"
@@ -46,13 +45,18 @@ EXIT_CAP = 4
 EXIT_INVARIANT = 6
 
 
-def _env_default(name: str, fallback=None, cast=str):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    if cast is bool:
-        return raw.lower() in ("1", "true", "yes")
-    return cast(raw)
+_FORMATS = ("plain", "structured")
+# Short names of the intersect flavors.  The parser imports no math module,
+# so the flavor names of intersection.FLAVORS are listed here, in its order.
+_FLAVOR_ALIASES = {"++": "plus_plus", "--": "minus_minus", "mm": "minus_minus",
+                   "+-": "mixed", "pm": "mixed", "opp": "opposite_signs"}
+_FLAVORS = tuple(dict.fromkeys(_FLAVOR_ALIASES.values()))
+
+
+def _env_default(name: str, fallback=None):
+    """PELLUCAS_<NAME> as text, which argparse converts with the flag's own
+    type like a command-line value; fallback when it is unset."""
+    return os.environ.get(ENV_PREFIX + name.upper(), fallback)
 
 
 # Every int of at most this many bits or decimal digits converts by plain
@@ -72,6 +76,7 @@ def _int_to_str(n: int) -> str:
     """
     if n.bit_length() <= _PLAIN_BITS:
         return str(n)
+    import decimal
     powers = {}
 
     def two_to(w):
@@ -140,17 +145,23 @@ def _plain(obj):
 
 
 def _jsonable(obj):
-    if is_dataclass(obj):
-        return _jsonable(asdict(obj))
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None:
+    """obj for JSON: dataclasses become dicts, tuples lists, ints text."""
+    from dataclasses import asdict, is_dataclass
+
+    def walk(obj):
+        if is_dataclass(obj):
+            return walk(asdict(obj))
+        if isinstance(obj, dict):
+            return {k: walk(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [walk(v) for v in obj]
+        if isinstance(obj, bool) or obj is None:
+            return obj
+        if isinstance(obj, int):
+            return _int_to_str(obj)
         return obj
-    if isinstance(obj, int):
-        return _int_to_str(obj)
-    return obj
+
+    return walk(obj)
 
 
 class Record:
@@ -166,6 +177,7 @@ class Record:
     def render(self, fmt: str) -> str:
         """The whole output text."""
         if fmt == "structured":
+            import json
             doc = {"command": self.command, "inputs": _jsonable(self.inputs),
                    "result": _jsonable(self.result),
                    "verify": _jsonable(self.verify), "version": __version__}
@@ -190,6 +202,7 @@ def _parse_range(spec: str) -> range:
 
 
 def cmd_lucas(args, rec: Record) -> int:
+    from . import lucas
     indices = _parse_range(args.range) if args.range else [args.n]
     if args.a is not None:
         rec.result["terms"] = [lucas.gen_fib_a(args.a, n) for n in indices]
@@ -206,6 +219,7 @@ def cmd_lucas(args, rec: Record) -> int:
         rec.result["v"] = [t.v for t in terms]
         rec.result["discriminant"] = params.discriminant
     if args.verify:
+        from . import oracle
         if args.a is not None:
             expect = [oracle.naive_lucas(lucas.LucasParams(args.a, -1), n).u
                       for n in indices]
@@ -224,6 +238,7 @@ def cmd_lucas(args, rec: Record) -> int:
 
 
 def cmd_pell(args, rec: Record) -> int:
+    from . import pell
     if args.count < 1:
         raise ValueError("count must be >= 1")
     problem = pell.PellProblem(args.d, args.sign)
@@ -238,6 +253,7 @@ def cmd_pell(args, rec: Record) -> int:
     sols = list(islice(pell._solutions_from(problem, fund), args.count))
     rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
+        from . import oracle
         bound = min(max(s.v for s in sols), args.bound)
         expect = [(s.u, s.v) for s in
                   oracle.enumerate_pell(args.d, args.sign, bound)]
@@ -250,6 +266,7 @@ def cmd_pell(args, rec: Record) -> int:
 
 
 def cmd_member(args, rec: Record) -> int:
+    from . import pell
     if args.a is not None:
         verdict = pell.is_gen_fib_a(args.value, args.a)
         flavor, param = "a", args.a
@@ -262,6 +279,7 @@ def cmd_member(args, rec: Record) -> int:
         rec.result["parity"] = verdict.parity
         rec.result["square_witness"] = verdict.square_witness
     if args.verify:
+        from . import oracle
         expect = oracle.naive_membership(args.value, flavor, param)
         agrees = (expect.is_member == verdict.is_member
                   and (not expect.is_member or expect.index == verdict.index))
@@ -272,6 +290,7 @@ def cmd_member(args, rec: Record) -> int:
 
 
 def cmd_lattice(args, rec: Record) -> int:
+    from . import lattice as lat
     try:
         lattice = lat.make_lattice(args.a, args.b, args.c)
     except ValueError as err:
@@ -302,6 +321,7 @@ def cmd_lattice(args, rec: Record) -> int:
                           "expected": -2, "norm": norm, "bound": None}
         else:
             # Only a None answer needs the box search, which can refute it.
+            from . import oracle
             bound = min(args.bound, 1000)
             found = oracle.first_root_in_box(lattice.gram, bound)
             rec.verify = {"oracle": "exhaustive_root_search",
@@ -311,6 +331,7 @@ def cmd_lattice(args, rec: Record) -> int:
 
 
 def cmd_k3(args, rec: Record) -> int:
+    from . import k3
     if args.b is not None:
         case = k3.classify_case_b(args.b, args.n)
         rec.result["lattice"] = k3.case_b_lattice(args.b).gram.rows()
@@ -331,6 +352,7 @@ def cmd_k3(args, rec: Record) -> int:
     if args.verify:
         # The action recomputed as M_a^(2n) or (C^T)^(2n) by repeated
         # multiplication; its matrix and its trace must both agree.
+        from . import lucas, oracle
         step = (lucas.n_matrix(args.b).transpose if args.b is not None
                 else lucas.m_matrix(args.a))
         expect = oracle.naive_matrix_power(step, 2 * case.n)
@@ -342,15 +364,15 @@ def cmd_k3(args, rec: Record) -> int:
 
 
 def cmd_intersect(args, rec: Record) -> int:
-    flavor = {"++": "plus_plus", "--": "minus_minus", "mm": "minus_minus",
-              "+-": "mixed", "pm": "mixed",
-              "opp": "opposite_signs"}.get(args.flavor, args.flavor)
+    from . import intersection as ix
+    flavor = _FLAVOR_ALIASES.get(args.flavor, args.flavor)
     try:
         system = ix.PellSystem(flavor, args.p1, args.p2)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    result = ix.intersect(system, args.count, cap=args.cap, x_bound=args.x_bound)
+    cap = ix.DEFAULT_CAP if args.cap is None else args.cap
+    result = ix.intersect(system, args.count, cap=cap, x_bound=args.x_bound)
     rec.result["verdict"] = result.verdict
     if result.minimal_pair:
         rec.result["minimal_pair"] = list(result.minimal_pair)
@@ -363,6 +385,7 @@ def cmd_intersect(args, rec: Record) -> int:
         bound = min(top, args.bound)
         if flavor == "opposite_signs":
             # The fast path of this flavor is brute_force_common itself.
+            from . import oracle
             name, expect = "pell_units", oracle.common_from_units(system, bound)
         else:
             name, expect = ("brute_force_common",
@@ -376,15 +399,15 @@ def cmd_intersect(args, rec: Record) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "structured"),
+    common.add_argument("--format", choices=_FORMATS,
                         default=_env_default("format", "plain"))
     common.add_argument("--verify", action="store_true",
-                        default=_env_default("verify", False, bool))
-    common.add_argument("--cap", type=_parse_int,
-                        default=_env_default("cap", ix.DEFAULT_CAP, int),
+                        default=_env_default("verify", "").lower()
+                        in ("1", "true", "yes"))
+    common.add_argument("--cap", type=_parse_int, default=_env_default("cap"),
                         help="search cap for trace matching")
     common.add_argument("--bound", type=_parse_int,
-                        default=_env_default("bound", 10 ** 6, int),
+                        default=_env_default("bound", 10 ** 6),
                         help="enumeration bound used by --verify")
 
     parser = argparse.ArgumentParser(prog="pellucas", parents=[common])
@@ -428,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intersect", parents=[common])
     p.add_argument("--flavor", required=True,
-                   choices=("++", "--", "mm", "+-", "pm", "opp") + ix.FLAVORS)
+                   choices=(*_FLAVOR_ALIASES, *_FLAVORS))
     p.add_argument("--p1", type=_parse_int, required=True)
     p.add_argument("--p2", type=_parse_int, required=True)
     p.add_argument("--count", type=_parse_int, default=5)
@@ -438,6 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(args) -> str | None:
+    if args.format not in _FORMATS:  # argparse checks no default (env value)
+        return (f"{ENV_PREFIX}FORMAT must be one of {', '.join(_FORMATS)}, "
+                f"not {args.format!r}")
     if args.subcommand == "lucas":
         if args.a is None and args.b is None and (args.p is None or args.q is None):
             return "lucas needs --a, --b, or both --p and --q"

@@ -12,7 +12,6 @@ filtered by a float square root computed in place.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional
 
@@ -230,6 +229,16 @@ def enumerate_disc_group(lattice) -> tuple[tuple[int, int], list[tuple[Fraction,
     matrix the Smith normal form is diag(g, |det|/g) with g the gcd of the
     entries.
     """
+    from fractions import Fraction
+    invariants, order, cosets = _disc_cosets(lattice)
+    return invariants, [(Fraction(x, order), Fraction(y, order))
+                        for x, y in cosets]
+
+
+def _disc_cosets(lattice) -> tuple[tuple[int, int], int, list[tuple[int, int]]]:
+    """Invariant factors, the group order |det|, and the coset
+    representatives as integer numerators (X, Y) in [0, |det|): the
+    representative is (X, Y)/|det| in the lattice basis."""
     q = lattice.gram
     det = q.det
     if det == 0:
@@ -247,26 +256,25 @@ def enumerate_disc_group(lattice) -> tuple[tuple[int, int], list[tuple[Fraction,
     c1 = (unit * adj.e00 % order, unit * adj.e10 % order)
     c2 = (unit * adj.e01 % order, unit * adj.e11 % order)
     n1 = order // gcd(gcd(c1[0], c1[1]), order)
-    reps = [(Fraction((i * c1[0] + j * c2[0]) % order, order),
-             Fraction((i * c1[1] + j * c2[1]) % order, order))
-            for i in range(n1) for j in range(order // n1)]
-    if len(set(reps)) != order:
-        raise InvariantError(f"{len(set(reps))} distinct cosets, expected {order}")
-    return invariants, reps
+    cosets = [((i * c1[0] + j * c2[0]) % order, (i * c1[1] + j * c2[1]) % order)
+              for i in range(n1) for j in range(order // n1)]
+    if len(set(cosets)) != order:
+        raise InvariantError(f"{len(set(cosets))} distinct cosets, expected {order}")
+    return invariants, order, cosets
 
 
 def disc_action_direct(lattice, g) -> str:
-    """Action of g on the discriminant group by checking every coset rep."""
-    _, reps = enumerate_disc_group(lattice)
+    """Action of g on the discriminant group by checking every coset rep.
+
+    g acts as eps*id when (g - eps*id) maps each representative (X, Y)/|det|
+    into the lattice, i.e. both coordinates of (g - eps*id)(X, Y) are
+    divisible by |det|.
+    """
+    _, order, cosets = _disc_cosets(lattice)
     for eps, tag in ((1, "+id"), (-1, "-id")):
-        ok = True
-        for x, y in reps:
-            gx = g.e00 * x + g.e01 * y - eps * x
-            gy = g.e10 * x + g.e11 * y - eps * y
-            if gx.denominator != 1 or gy.denominator != 1:
-                ok = False
-                break
-        if ok:
+        a, b, c, d = g.e00 - eps, g.e01, g.e10, g.e11 - eps
+        if all((a * x + b * y) % order == 0 and (c * x + d * y) % order == 0
+               for x, y in cosets):
             return tag
     return "other"
 

@@ -196,6 +196,33 @@ def test_env_override_format(capsys, monkeypatch):
     assert json.loads(out)["command"] == "member"
 
 
+@pytest.mark.parametrize("name, value", [("CAP", "abc"), ("BOUND", "1e3"),
+                                         ("FORMAT", "xml")])
+def test_bad_env_value_is_a_usage_error(capsys, monkeypatch, name, value):
+    # Converted and checked like the flag itself: exit 2 and one error line,
+    # not a traceback.
+    monkeypatch.setenv(f"PELLUCAS_{name}", value)
+    try:
+        code = main(["lucas", "--p", "1", "--q", "-1", "--n", "5"])
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert code == 2 and out.out == ""
+    assert len(errors) == 1 and repr(value) in errors[0]
+
+
+def test_env_values_convert_like_flags(capsys, monkeypatch):
+    monkeypatch.setenv("PELLUCAS_CAP", "2")
+    code, _, err = run(capsys, "intersect", "--flavor", "++", "--p1", "1",
+                       "--p2", "4")
+    assert code == 4 and "<= 2 " in err
+    monkeypatch.setenv("PELLUCAS_BOUND", "+20")
+    code, doc, _ = run_json(capsys, "pell", "--d", "13", "--count", "3",
+                            "--verify")
+    assert code == 0 and doc["verify"]["bound"] == "20"
+
+
 def test_verify_agreement_for_each_subcommand(capsys):
     for argv in (["lucas", "--p", "2", "--q", "-1", "--n", "30"],
                  ["pell", "--d", "13", "--count", "3"],
