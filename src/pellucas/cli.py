@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: lucas, pell, member, lattice, k3, intersect.  Global flags
---format/--verify/--cap/--bound work on every subcommand, and each flag can
-be preset through an environment variable PELLUCAS_<FLAG> (e.g.
-PELLUCAS_FORMAT=structured), which is converted and checked as the flag's
-value is: a bad preset is a usage error.  Structured output is one JSON
+--format/--verify/--cap/--bound work on every subcommand and follow it (given
+before it they are a usage error), and each flag can be preset through an
+environment variable PELLUCAS_<FLAG> (e.g. PELLUCAS_FORMAT=structured), which
+is converted and checked as the flag's value is: a bad preset is a usage
+error.  Structured output is one JSON
 document per invocation with keys {command, inputs, result, verify,
 version}; every integer is serialized as a decimal string because results
 outgrow 64 bits quickly.
@@ -410,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env_default("bound", 10 ** 6),
                         help="enumeration bound used by --verify")
 
-    parser = argparse.ArgumentParser(prog="pellucas", parents=[common])
+    parser = argparse.ArgumentParser(prog="pellucas")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lucas", parents=[common])

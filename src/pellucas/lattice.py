@@ -1,10 +1,10 @@
 """Rank-2 even lattices [[2a, b], [b, 2c]]: isometries from Pell solutions,
 discriminant-group actions, and (0)/(-2)-element detection.
 
-The (-2) search uses the reduction cycle of the indefinite binary form
-a x^2 + b x y + c y^2 (a square discriminant factors the form and is
-answered in closed form); the exhaustive-search oracle is
-``oracle.first_root_in_box``.
+The (-2) search walks the continued fraction of a root of the indefinite
+binary form a x^2 + b x y + c y^2 as the Pell solver does (a square
+discriminant factors the form and is answered in closed form); the
+exhaustive-search oracle is ``oracle.first_root_in_box``.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import _FFT_LO, Mat2, _mul, is_square, mat2_product
-from .pell import PellProblem, PellSolution, fundamental_solution, isqrt_exact
+from .lucas import _FFT_LO, Mat2, _mul, is_square
+from .pell import (PellProblem, PellSolution, _convergent_matrix,
+                   fundamental_solution, isqrt_exact)
 
 CYCLE_CAP = 10 ** 6
 
@@ -182,50 +183,36 @@ def so_plus_generator(lattice: Lattice2) -> Optional[IsometryAction]:
     return isometry_from_pell(lattice, fund)
 
 
-def _reduced(a: int, b: int, s: int) -> bool:
-    # |sqrt(D) - 2|a|| < b < sqrt(D), in integers with s = floor(sqrt(D)).
-    return 0 < b <= s and s < b + 2 * abs(a) and 2 * abs(a) - b <= s
-
-
-def _rho(a: int, b: int, c: int, s: int, d: int) -> tuple[tuple[int, int, int], int]:
-    """One reduction step (a,b,c) -> (c, r, (r^2-d)/(4c)) with its column op."""
-    ac = abs(c)
-    r = (-b) % (2 * ac)
-    if ac > s:
-        if r > ac:
-            r -= 2 * ac
-    else:
-        r += ((s - r) // (2 * ac)) * (2 * ac)
-    t = (b + r) // (2 * c)
-    return (c, r, (r * r - d) // (4 * c)), t
-
-
-def _represents_minus_one_cycle(a: int, b: int, c: int, d: int
-                                ) -> Optional[tuple[int, int]]:
+def _represents_minus_one_walk(a: int, b: int, c: int, d: int
+                               ) -> Optional[tuple[int, int]]:
     """Witness (x, y) with a x^2 + b x y + c y^2 = -1, nonsquare d = b^2-4ac.
 
-    Walks the reduction cycle; -1 appears as a leading coefficient of some
-    form in the cycle iff it is represented (|-1| < sqrt(d)/2 for d >= 5).
-    Only the step integers t are kept; the transformation, the product of
-    the [[0, -1], [1, t]], is built once -1 has appeared, and the witness is
-    its first column.
+    Walks the continued fraction of w = (-b + sqrt(d))/(2a) as
+    pell._half_period does, in complete quotients (P_i + sqrt(d))/Q_i from
+    P_0 = -b, Q_0 = 2a, Q_{-1} = -2c.  Its convergents p/q have
+    f(p_{i-1}, q_{i-1}) = (-1)^i Q_i/2, by (2ap + bq)^2 - d q^2 = 4a f(p, q),
+    and these values lead the forms of f's proper reduction cycle, so -1
+    (< sqrt(d)/2 for d >= 5) is represented iff (-1)^i Q_i = -2 before the
+    first reduced state recurs with i of the same parity (two laps of an odd
+    period).  The witness is the first column of the quotients' product.
     """
     s = isqrt(d)
-    steps = []
-    form = (a, b, c)
-    first_reduced = None
+    p, q, q_prev = -b, 2 * a, -2 * c
+    target, quotients, first = -2, [], None  # target = (-1)^i (-2)
     for _ in range(CYCLE_CAP):
-        if form[0] == -1:
-            x, _, y, _ = mat2_product([(0, -1, 1, t) for t in steps])
+        if q == target:
+            x, _, y, _ = _convergent_matrix(quotients)
             return (x, y)
-        if _reduced(form[0], form[1], s):
-            if first_reduced is None:
-                first_reduced = form
-            elif form == first_reduced:
-                return None
-        form, t = _rho(*form, s, d)
-        steps.append(t)
-    raise SearchCapExceeded(f"reduction cycle exceeded the step cap of {CYCLE_CAP}")
+        if first is None:
+            if 0 < p <= s and s - p < q <= s + p:
+                first = (p, q, target)
+        elif (p, q, target) == first:
+            return None
+        t = (p + s) // q if q > 0 else (p + s + 1) // q
+        quotients.append(t)
+        p_next = t * q - p  # Q_{i+1} = Q_{i-1} + t_i (P_i - P_{i+1})
+        p, q, q_prev, target = p_next, q_prev + t * (p - p_next), q, -target
+    raise SearchCapExceeded(f"root walk exceeded the step cap of {CYCLE_CAP}")
 
 
 def _represents_minus_one_square_disc(a: int, b: int, c: int, d: int
@@ -278,7 +265,7 @@ def find_roots(lattice: Lattice2, norm_target: int) -> Optional[tuple[int, int]]
     if is_square(d):
         witness = _represents_minus_one_square_disc(a, b, c, d)
     else:
-        witness = _represents_minus_one_cycle(a, b, c, d)
+        witness = _represents_minus_one_walk(a, b, c, d)
     if witness is not None and lattice.norm(*witness) != -2:
         raise InvariantError(f"root witness {witness} does not have norm -2")
     return witness

@@ -110,6 +110,18 @@ def _half_period(d: int) -> tuple[int, list[int], Optional[int]]:
         p, q, q_prev = p_next, q_next, q
 
 
+def _convergent_matrix(quotients: list[int]) -> tuple[int, int, int, int]:
+    """Product of the [[t, 1], [1, 0]] over `quotients`, as (e00, e01, e10,
+    e11): _LEAF quotients per small-integer leaf, then mat2_product's tree."""
+    leaves = []
+    for i in range(0, len(quotients), _LEAF):
+        e, f, g, h = 1, 0, 0, 1
+        for t in quotients[i:i + _LEAF]:
+            e, f, g, h = t * e + f, e, t * g + h, g
+        leaves.append((e, f, g, h))
+    return mat2_product(leaves)
+
+
 def _fundamental_unit(d: int, b: int, half: list[int],
                       middle: Optional[int]) -> tuple[int, int]:
     """Smallest (u, v), u, v > 0, with u^2 - d v^2 = 4 (-1)^l, from
@@ -124,13 +136,7 @@ def _fundamental_unit(d: int, b: int, half: list[int],
     the product over a_1..a_m.  A wrong centre would give a wrong unit, so
     u^2 - d v^2 is checked modulo 2^61 - 1 before the unit is returned.
     """
-    leaves = []
-    for i in range(0, len(half), _LEAF):
-        e, f, g, h = 1, 0, 0, 1
-        for a in half[i:i + _LEAF]:
-            e, f, g, h = a * e + f, e, a * g + h, g
-        leaves.append((e, f, g, h))
-    e, f, g, h = mat2_product(leaves)
+    e, f, g, h = _convergent_matrix(half)
     if middle is None:
         v, w, norm = _square(e) + _square(f), e * g + f * h, -4
     else:

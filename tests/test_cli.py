@@ -142,6 +142,30 @@ def test_usage_errors_exit_2(capsys):
     assert err.value.code == 2
 
 
+_LUCAS_5 = ["lucas", "--p", "1", "--q", "-1", "--n", "5"]
+
+
+@pytest.mark.parametrize("flag, argv, took_effect", [
+    (["--format", "structured"], _LUCAS_5,
+     lambda code, out: code == 0 and json.loads(out)["command"] == "lucas"),
+    (["--verify"], _LUCAS_5,
+     lambda code, out: code == 0 and "verify: {'oracle': 'naive_lucas'" in out),
+    (["--cap", "2"], ["intersect", "--flavor", "++", "--p1", "1", "--p2", "4"],
+     lambda code, out: code == 4),
+    (["--bound", "20"], ["pell", "--d", "13", "--count", "3", "--verify"],
+     lambda code, out: code == 0 and "'bound': 20}" in out)],
+    ids=["format", "verify", "cap", "bound"])
+def test_global_flags_follow_the_subcommand(capsys, flag, argv, took_effect):
+    code, out, _ = run(capsys, *argv, *flag)
+    assert took_effect(code, out), out
+    # Before the subcommand the flag is a usage error, not silently dropped.
+    with pytest.raises(SystemExit) as exc:
+        main([*flag, *argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "usage:" in out.err and "Traceback" not in out.err
+
+
 def test_cap_exceeded_exit_4(capsys):
     code, _, err = run(capsys, "intersect", "--flavor", "++", "--p1", "1",
                        "--p2", "4", "--cap", "2")

@@ -163,25 +163,50 @@ def test_find_roots_witness_outside_small_box():
     assert find_roots(make_lattice(-9, 7, 6), -2) == (-12413, 24080)
 
 
+@pytest.mark.parametrize("form, witness", [
+    ((-1, 5, 3), (1, 0)),  # -1 leads the form: found before the first step
+    ((7, 1000003, -13), None),  # d ~ 10^12: the cycle closes after 120 867 steps
+])
+def test_find_roots_pinned(form, witness):
+    assert find_roots(make_lattice(*form), -2) == witness
+
+
+def test_find_roots_large_witness():
+    # d ~ 10^13: the witness the walk finds has about 807 kbit.
+    lat = make_lattice(3, 3162281, -5)
+    got = find_roots(lat, -2)
+    assert got is not None and lat.norm(*got) == -2
+
+
 def test_find_roots_against_exhaustive_search():
+    # 400 random forms, searched in a box of 200, then every primitive form
+    # with |a|, |b|, |c| <= 10 and nonsquare discriminant (3540 forms), in a
+    # box of 30; the grid reaches the odd-period cycles, where -1 can first
+    # lead a form on the second lap.
+    draws = [(tuple(rng.randint(-20, 20) for _ in range(3)), 200)
+             for _ in range(400)]
+    span = range(-10, 11)
+    grid = [((a, b, c), 30) for a in span for b in span for c in span
+            if b * b - 4 * a * c > 0 and not is_square(b * b - 4 * a * c)
+            and gcd(gcd(a, b), c) == 1]
+    assert len(grid) == 3540
     checked = 0
-    for _ in range(400):
-        a, b, c = (rng.randint(-20, 20) for _ in range(3))
+    for (a, b, c), bound in draws + grid:
         if b * b - 4 * a * c <= 0:
             continue
         lat = make_lattice(a, b, c)
         for target in (0, -2):
             got = find_roots(lat, target)
-            expect = _exhaustive_root(lat, target)
+            expect = _exhaustive_root(lat, target, bound)
             # Exhaustive search is bounded, so it can only refute a `None`.
             if expect is not None:
                 assert got is not None, (a, b, c, target, expect)
             if got is not None:
                 assert lat.norm(*got) == target
-                if max(abs(got[0]), abs(got[1])) <= 200:
+                if max(abs(got[0]), abs(got[1])) <= bound:
                     assert expect is not None, (a, b, c, target, got)
         checked += 1
-    assert checked > 150
+    assert checked > 150 + 3540
 
 
 def _square_disc_root_by_divisors(a, b, c):
