@@ -1,17 +1,20 @@
 """Command-line front end.
 
-Subcommands: lucas, pell, member, lattice, k3, intersect.  Global flags
---format/--verify/--cap/--bound work on every subcommand and follow it (given
-before it they are a usage error), and each flag can be preset through an
-environment variable PELLUCAS_<FLAG> (e.g. PELLUCAS_FORMAT=structured), which
-is converted and checked as the flag's value is: a bad preset is a usage
-error.  Structured output is one JSON
+Subcommands: lucas, pell, member, lattice, k3, intersect.  --format and
+--verify work on every subcommand, --bound (of the --verify search) on pell,
+lattice and intersect, and --cap (of the trace match) on intersect; each
+other subcommand rejects them as a usage error.  The flags follow the
+subcommand (given before it they are a usage error), and each can be preset
+through an environment variable PELLUCAS_<FLAG> (e.g.
+PELLUCAS_FORMAT=structured), which is converted and checked as the flag's
+value is: a bad preset is a usage error.  Structured output is one JSON
 document per invocation with keys {command, inputs, result, verify,
 version}; every integer is serialized as a decimal string because results
 outgrow 64 bits quickly.
 
 Each subcommand imports the modules it runs (the oracle only under
---verify), so parsing the command line loads no math module.
+--verify and for the opposite_signs square search), so parsing the command
+line loads no math module.
 
 Integers of any size cross the boundary both ways: _int_to_str and
 _parse_int convert past the interpreter's int/str digit limit without
@@ -206,33 +209,25 @@ def cmd_lucas(args, rec: Record) -> int:
     from . import lucas
     indices = _parse_range(args.range) if args.range else [args.n]
     if args.a is not None:
-        rec.result["terms"] = [lucas.gen_fib_a(args.a, n) for n in indices]
+        rec.result["terms"] = got = [lucas.gen_fib_a(args.a, n) for n in indices]
+        params = lucas.LucasParams(args.a, -1)
     elif args.b is not None:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rec.result["terms"] = [lucas.gen_fib_b(args.b, n) for n in indices]
+            rec.result["terms"] = got = [lucas.gen_fib_b(args.b, n)
+                                         for n in indices]
         if args.b < 4:
             rec.result["degenerate_warning"] = "b < 4"
+        params = lucas.LucasParams(args.b, 1)
     else:
         params = lucas.LucasParams(args.p, args.q)
         terms = [lucas.lucas_uv(params, n) for n in indices]
-        rec.result["u"] = [t.u for t in terms]
+        rec.result["u"] = got = [t.u for t in terms]
         rec.result["v"] = [t.v for t in terms]
         rec.result["discriminant"] = params.discriminant
     if args.verify:
         from . import oracle
-        if args.a is not None:
-            expect = [oracle.naive_lucas(lucas.LucasParams(args.a, -1), n).u
-                      for n in indices]
-            got = rec.result["terms"]
-        elif args.b is not None:
-            expect = [oracle.naive_lucas(lucas.LucasParams(args.b, 1), n).u
-                      for n in indices]
-            got = rec.result["terms"]
-        else:
-            expect = [oracle.naive_lucas(lucas.LucasParams(args.p, args.q), n).u
-                      for n in indices]
-            got = rec.result["u"]
+        expect = [oracle.naive_lucas(params, n).u for n in indices]
         rec.verify = {"oracle": "naive_lucas", "agrees": got == expect,
                       "expected": expect}
     return EXIT_OK
@@ -405,11 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--verify", action="store_true",
                         default=_env_default("verify", "").lower()
                         in ("1", "true", "yes"))
-    common.add_argument("--cap", type=_parse_int, default=_env_default("cap"),
-                        help="search cap for trace matching")
-    common.add_argument("--bound", type=_parse_int,
-                        default=_env_default("bound", 10 ** 6),
-                        help="enumeration bound used by --verify")
+    # Only the subcommands whose cmd_* reads --bound (or --cap) take it.
+    bound = dict(type=_parse_int, default=_env_default("bound", 10 ** 6),
+                 help="enumeration bound used by --verify")
 
     parser = argparse.ArgumentParser(prog="pellucas")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -424,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lucas)
 
     p = sub.add_parser("pell", parents=[common])
+    p.add_argument("--bound", **bound)
     p.add_argument("--d", type=_parse_int, required=True)
     p.add_argument("--sign", type=lambda s: int(s.replace("+", "")),
                    choices=(4, -4), default=4)
@@ -438,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_member)
 
     p = sub.add_parser("lattice", parents=[common])
+    p.add_argument("--bound", **bound)
     p.add_argument("--a", type=_parse_int, required=True)
     p.add_argument("--b", type=_parse_int, required=True)
     p.add_argument("--c", type=_parse_int, required=True)
@@ -451,6 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_k3)
 
     p = sub.add_parser("intersect", parents=[common])
+    p.add_argument("--cap", type=_parse_int, default=_env_default("cap"),
+                   help="search cap for trace matching")
+    p.add_argument("--bound", **bound)
     p.add_argument("--flavor", required=True,
                    choices=(*_FLAVOR_ALIASES, *_FLAVORS))
     p.add_argument("--p1", type=_parse_int, required=True)

@@ -19,7 +19,6 @@ from typing import Iterator, Optional
 
 from .errors import InvariantError, SearchCapExceeded
 from .lucas import LucasParams, is_square, lucas_uv
-from .oracle import square_rows
 from .pell import _log_alpha, isqrt_exact
 
 # flavor: (q1, q2, sign pairs (e1, e2) in the order searches prefer them).
@@ -228,6 +227,7 @@ def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int,
     Bounds whose rows would leave int64 raise ValueError before any row is
     scanned.
     """
+    from .oracle import square_rows
     if x_bound < 2:
         raise ValueError("x_bound must be >= 2")
     pairs = system.sign_pairs

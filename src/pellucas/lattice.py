@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import _FFT_LO, Mat2, _mul, is_square
+from .lucas import _FFT_LO, Mat2, _mul, _square, is_square
 from .pell import (PellProblem, PellSolution, _convergent_matrix,
                    fundamental_solution, isqrt_exact)
 
@@ -56,7 +56,9 @@ class Lattice2:
         return self.disc < 0
 
     def norm(self, x: int, y: int) -> int:
-        return 2 * (self.a * x * x + self.b * x * y + self.c * y * y)
+        """v^T G v; a big (-2) witness is squared by the multiply kernel."""
+        return 2 * (self.a * _square(x) + self.b * _mul(x, y)
+                    + self.c * _square(y))
 
     def pairing(self, v: tuple[int, int], w: tuple[int, int]) -> int:
         return (2 * self.a * v[0] * w[0] + self.b * (v[0] * w[1] + v[1] * w[0])

@@ -221,24 +221,10 @@ def whitney_member_mask(d: int, shift: int, bound: int) -> np.ndarray:
     return mask
 
 
-def enumerate_disc_group(lattice) -> tuple[tuple[int, int], list[tuple[Fraction, Fraction]]]:
-    """Invariant factors and coset representatives of the discriminant group.
-
-    The group is (dual lattice)/(lattice); representatives are given in the
-    lattice basis as fractional coordinate pairs in [0, 1).  For a 2x2 Gram
-    matrix the Smith normal form is diag(g, |det|/g) with g the gcd of the
-    entries.
-    """
-    from fractions import Fraction
-    invariants, order, cosets = _disc_cosets(lattice)
-    return invariants, [(Fraction(x, order), Fraction(y, order))
-                        for x, y in cosets]
-
-
-def _disc_cosets(lattice) -> tuple[tuple[int, int], int, list[tuple[int, int]]]:
-    """Invariant factors, the group order |det|, and the coset
-    representatives as integer numerators (X, Y) in [0, |det|): the
-    representative is (X, Y)/|det| in the lattice basis."""
+def _disc_cosets(lattice) -> tuple[int, list[tuple[int, int]]]:
+    """The order |det| of the discriminant group (dual lattice)/(lattice)
+    and its coset representatives as integer numerators (X, Y) in
+    [0, |det|): the representative is (X, Y)/|det| in the lattice basis."""
     q = lattice.gram
     det = q.det
     if det == 0:
@@ -246,8 +232,6 @@ def _disc_cosets(lattice) -> tuple[tuple[int, int], int, list[tuple[int, int]]]:
     order = abs(det)
     if order > 10 ** 4:
         raise ValueError("discriminant group too large to enumerate")
-    g = gcd(gcd(q.e00, q.e01), q.e11)
-    invariants = (g, order // g)
     # The dual lattice Q^{-1} Z^2 is spanned by the columns c1, c2 of
     # adj(Q)/det; in units of 1/order they are integer vectors mod order.
     # <c1> has n1 elements and the quotient by it is cyclic, generated by c2,
@@ -260,7 +244,7 @@ def _disc_cosets(lattice) -> tuple[tuple[int, int], int, list[tuple[int, int]]]:
               for i in range(n1) for j in range(order // n1)]
     if len(set(cosets)) != order:
         raise InvariantError(f"{len(set(cosets))} distinct cosets, expected {order}")
-    return invariants, order, cosets
+    return order, cosets
 
 
 def disc_action_direct(lattice, g) -> str:
@@ -270,7 +254,7 @@ def disc_action_direct(lattice, g) -> str:
     into the lattice, i.e. both coordinates of (g - eps*id)(X, Y) are
     divisible by |det|.
     """
-    _, order, cosets = _disc_cosets(lattice)
+    order, cosets = _disc_cosets(lattice)
     for eps, tag in ((1, "+id"), (-1, "-id")):
         a, b, c, d = g.e00 - eps, g.e01, g.e10, g.e11 - eps
         if all((a * x + b * y) % order == 0 and (c * x + d * y) % order == 0

@@ -166,6 +166,25 @@ def test_global_flags_follow_the_subcommand(capsys, flag, argv, took_effect):
     assert "usage:" in out.err and "Traceback" not in out.err
 
 
+_MEMBER_8 = ["member", "--value", "8", "--a", "1"]
+_K3_5 = ["k3", "--b", "5", "--n", "2"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    (["--cap", "2"], _LUCAS_5), (["--cap", "2"], _MEMBER_8),
+    (["--cap", "2"], _K3_5), (["--bound", "20"], _LUCAS_5),
+    (["--bound", "20"], _MEMBER_8), (["--bound", "20"], _K3_5)],
+    ids=["cap-lucas", "cap-member", "cap-k3", "bound-lucas", "bound-member",
+         "bound-k3"])
+def test_flag_a_subcommand_never_reads_is_a_usage_error(capsys, flag, argv):
+    # Only intersect reads --cap; only pell, lattice and intersect --bound.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *flag])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "usage:" in out.err and f"unrecognized arguments: {flag[0]}" in out.err
+
+
 def test_cap_exceeded_exit_4(capsys):
     code, _, err = run(capsys, "intersect", "--flavor", "++", "--p1", "1",
                        "--p2", "4", "--cap", "2")
@@ -223,17 +242,22 @@ def test_env_override_format(capsys, monkeypatch):
 @pytest.mark.parametrize("name, value", [("CAP", "abc"), ("BOUND", "1e3"),
                                          ("FORMAT", "xml")])
 def test_bad_env_value_is_a_usage_error(capsys, monkeypatch, name, value):
-    # Converted and checked like the flag itself: exit 2 and one error line,
-    # not a traceback.
+    # Converted and checked like the flag itself, by the subcommands that take
+    # the flag: exit 2 and one error line, not a traceback.
     monkeypatch.setenv(f"PELLUCAS_{name}", value)
+    argv = {"CAP": ["intersect", "--flavor", "++", "--p1", "1", "--p2", "4"],
+            "BOUND": ["pell", "--d", "13"]}.get(name, _LUCAS_5)
     try:
-        code = main(["lucas", "--p", "1", "--q", "-1", "--n", "5"])
+        code = main(argv)
     except SystemExit as exc:
         code = exc.code
     out = capsys.readouterr()
     errors = [line for line in out.err.splitlines() if "error:" in line]
     assert code == 2 and out.out == ""
     assert len(errors) == 1 and repr(value) in errors[0]
+    if name != "FORMAT":
+        # A subcommand without the flag does not read its preset.
+        assert main(_LUCAS_5) == 0
 
 
 def test_env_values_convert_like_flags(capsys, monkeypatch):

@@ -10,7 +10,7 @@ from pellucas.lattice import (Lattice2, disc_group_action, find_roots,
                               positive_norm_vector, preserves_cone,
                               so_plus_generator)
 from pellucas.lucas import Mat2, is_square
-from pellucas.oracle import disc_action_direct, enumerate_disc_group
+from pellucas.oracle import _disc_cosets, disc_action_direct
 from pellucas.pell import PellProblem, PellSolution, fundamental_solution
 
 rng = random.Random(20250823)
@@ -74,12 +74,11 @@ def test_disc_group_action_matches_direct_enumeration():
 
 
 def test_enumerate_disc_group_orders():
-    assert enumerate_disc_group(make_lattice(1, 4, 1))[0][0] * \
-        enumerate_disc_group(make_lattice(1, 4, 1))[0][1] == 12
-    inv, reps = enumerate_disc_group(make_lattice(1, 1, 1))
-    assert inv == (1, 3) and len(reps) == 3
-    inv, reps = enumerate_disc_group(Lattice2(1, 0, -1))
-    assert inv == (2, 2) and len(reps) == 4
+    assert _disc_cosets(make_lattice(1, 4, 1))[0] == 12
+    order, cosets = _disc_cosets(make_lattice(1, 1, 1))
+    assert order == 3 and len(cosets) == 3
+    order, cosets = _disc_cosets(Lattice2(1, 0, -1))
+    assert order == 4 and len(cosets) == 4
 
 
 def test_so_plus_generator_examples():

@@ -1,6 +1,5 @@
 import random
 import warnings
-from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -13,7 +12,7 @@ from pellucas.intersection import PellSystem, brute_force_common
 from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
 from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, WHEEL_MODULI,
-                             WHEEL_RESIDUE_COST, _wheel, enumerate_disc_group,
+                             WHEEL_RESIDUE_COST, _disc_cosets, _wheel,
                              enumerate_pell,
                              first_root_in_box, naive_lucas, naive_membership,
                              square_rows, whitney_member_mask)
@@ -52,14 +51,14 @@ def test_whitney_mask_matches_sequence():
 
 
 def test_enumerate_disc_group_examples():
-    inv, reps = enumerate_disc_group(make_lattice(1, 4, 1))
-    assert inv[0] * inv[1] == 12 and len(reps) == 12
-    inv, reps = enumerate_disc_group(make_lattice(1, 1, 1))
-    assert len(reps) == 3
-    inv, reps = enumerate_disc_group(make_lattice(1, 0, -1))
-    assert inv == (2, 2) and len(reps) == 4
-    assert (Fraction(1, 2), Fraction(0)) in reps or \
-        (Fraction(0), Fraction(1, 2)) in reps
+    # Coset numerators (X, Y): the representative is (X, Y)/order.
+    order, cosets = _disc_cosets(make_lattice(1, 4, 1))
+    assert order == 12 and len(cosets) == 12
+    order, cosets = _disc_cosets(make_lattice(1, 1, 1))
+    assert order == 3 and len(cosets) == 3
+    order, cosets = _disc_cosets(make_lattice(1, 0, -1))
+    assert order == 4 and len(cosets) == 4
+    assert (2, 0) in cosets or (0, 2) in cosets  # (1/2, 0) or (0, 1/2)
 
 
 # --- residue-wheel square search ----------------------------------------------
@@ -245,14 +244,14 @@ def test_wheel_splits_turns_longer_than_a_chunk():
 # --- discriminant group -------------------------------------------------------
 
 def _cosets_by_all_pairs(lattice):
-    """Reference: reduce i*c1 + j*c2 mod Z^2 for all order^2 pairs (i, j)."""
+    """Reference: reduce i*c1 + j*c2 mod Z^2 for all order^2 pairs (i, j), as
+    numerators over order."""
     q = lattice.gram
     det, adj = q.det, q.adjugate
     order, unit = abs(det), 1 if det > 0 else -1
-    pairs = {(unit * (adj.e00 * i + adj.e01 * j) % order,
-              unit * (adj.e10 * i + adj.e11 * j) % order)
-             for i in range(order) for j in range(order)}
-    return {(Fraction(x, order), Fraction(y, order)) for x, y in pairs}
+    return {(unit * (adj.e00 * i + adj.e01 * j) % order,
+             unit * (adj.e10 * i + adj.e11 * j) % order)
+            for i in range(order) for j in range(order)}
 
 
 def test_disc_group_matches_all_pairs():
@@ -265,10 +264,10 @@ def test_disc_group_matches_all_pairs():
             forms.append((a, b, c))
     for a, b, c in forms:
         lattice = make_lattice(a, b, c)
-        inv, reps = enumerate_disc_group(lattice)
-        assert len(reps) == abs(lattice.disc) == inv[0] * inv[1]
-        assert all(0 <= x < 1 and 0 <= y < 1 for x, y in reps)
-        assert set(reps) == _cosets_by_all_pairs(lattice), (a, b, c)
+        order, cosets = _disc_cosets(lattice)
+        assert len(cosets) == order == abs(lattice.disc)
+        assert all(0 <= x < order and 0 <= y < order for x, y in cosets)
+        assert set(cosets) == _cosets_by_all_pairs(lattice), (a, b, c)
 
 
 # --- lattice --verify root search -----------------------------------------------

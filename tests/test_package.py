@@ -93,6 +93,12 @@ def test_a_subcommand_loads_what_it_runs():
                     "'--c', '1'])")
     assert "pellucas.lattice" in new
     assert new & {"pellucas.k3", "pellucas.intersection"} == set()
+    # brute_force_common imports its oracle only when it runs.
+    new = loaded_by("import pellucas.cli\n"
+                    "pellucas.cli.main(['intersect', '--flavor', 'mm', "
+                    "'--p1', '4', '--p2', '14'])")
+    assert "pellucas.intersection" in new
+    assert "pellucas.oracle" not in new
 
 
 def test_lazy_surface_is_the_eager_one():
