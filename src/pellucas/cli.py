@@ -14,7 +14,8 @@ outgrow 64 bits quickly.
 
 Each subcommand imports the modules it runs (the oracle only under
 --verify and for the opposite_signs square search), so parsing the command
-line loads no math module.
+line loads no math module; main builds the arguments of the named
+subcommand only.
 
 Integers of any size cross the boundary both ways: _int_to_str and
 _parse_int convert past the interpreter's int/str digit limit without
@@ -55,6 +56,7 @@ _FORMATS = ("plain", "structured")
 _FLAVOR_ALIASES = {"++": "plus_plus", "--": "minus_minus", "mm": "minus_minus",
                    "+-": "mixed", "pm": "mixed", "opp": "opposite_signs"}
 _FLAVORS = tuple(dict.fromkeys(_FLAVOR_ALIASES.values()))
+_SUBCOMMANDS = ("lucas", "pell", "member", "lattice", "k3", "intersect")
 
 
 def _env_default(name: str, fallback=None):
@@ -393,69 +395,87 @@ def cmd_intersect(args, rec: Record) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is reported with
+    its own usage line, not the top-level one."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
+def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given one name, a parser that
+    lists all six but has the arguments of that one only."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=_FORMATS,
                         default=_env_default("format", "plain"))
     common.add_argument("--verify", action="store_true",
                         default=_env_default("verify", "").lower()
                         in ("1", "true", "yes"))
+
+    parser = argparse.ArgumentParser(prog="pellucas")
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                parser_class=_SubcommandParser)
+
+    def subparser(name, func):
+        if subcommand not in (None, name):
+            # Listed only: main never hands it an argument, nor -h.
+            sub.add_parser(name, add_help=False)
+            return None
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(func=func)
+        return p
+
     # Only the subcommands whose cmd_* reads --bound (or --cap) take it.
     bound = dict(type=_parse_int, default=_env_default("bound", 10 ** 6),
                  help="enumeration bound used by --verify")
 
-    parser = argparse.ArgumentParser(prog="pellucas")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    if p := subparser("lucas", cmd_lucas):
+        p.add_argument("--p", type=_parse_int)
+        p.add_argument("--q", type=_parse_int)
+        p.add_argument("--a", type=_parse_int)
+        p.add_argument("--b", type=_parse_int)
+        p.add_argument("--n", type=_parse_int)
+        p.add_argument("--range")
 
-    p = sub.add_parser("lucas", parents=[common])
-    p.add_argument("--p", type=_parse_int)
-    p.add_argument("--q", type=_parse_int)
-    p.add_argument("--a", type=_parse_int)
-    p.add_argument("--b", type=_parse_int)
-    p.add_argument("--n", type=_parse_int)
-    p.add_argument("--range")
-    p.set_defaults(func=cmd_lucas)
+    if p := subparser("pell", cmd_pell):
+        p.add_argument("--bound", **bound)
+        p.add_argument("--d", type=_parse_int, required=True)
+        p.add_argument("--sign", type=lambda s: int(s.replace("+", "")),
+                       choices=(4, -4), default=4)
+        p.add_argument("--count", type=_parse_int, default=1)
+        p.add_argument("--require-solution", action="store_true")
 
-    p = sub.add_parser("pell", parents=[common])
-    p.add_argument("--bound", **bound)
-    p.add_argument("--d", type=_parse_int, required=True)
-    p.add_argument("--sign", type=lambda s: int(s.replace("+", "")),
-                   choices=(4, -4), default=4)
-    p.add_argument("--count", type=_parse_int, default=1)
-    p.add_argument("--require-solution", action="store_true")
-    p.set_defaults(func=cmd_pell)
+    if p := subparser("member", cmd_member):
+        p.add_argument("--value", type=_parse_int, required=True)
+        p.add_argument("--a", type=_parse_int)
+        p.add_argument("--b", type=_parse_int)
 
-    p = sub.add_parser("member", parents=[common])
-    p.add_argument("--value", type=_parse_int, required=True)
-    p.add_argument("--a", type=_parse_int)
-    p.add_argument("--b", type=_parse_int)
-    p.set_defaults(func=cmd_member)
+    if p := subparser("lattice", cmd_lattice):
+        p.add_argument("--bound", **bound)
+        p.add_argument("--a", type=_parse_int, required=True)
+        p.add_argument("--b", type=_parse_int, required=True)
+        p.add_argument("--c", type=_parse_int, required=True)
 
-    p = sub.add_parser("lattice", parents=[common])
-    p.add_argument("--bound", **bound)
-    p.add_argument("--a", type=_parse_int, required=True)
-    p.add_argument("--b", type=_parse_int, required=True)
-    p.add_argument("--c", type=_parse_int, required=True)
-    p.set_defaults(func=cmd_lattice)
+    if p := subparser("k3", cmd_k3):
+        p.add_argument("--m", type=_parse_int)
+        p.add_argument("--a", type=_parse_int)
+        p.add_argument("--b", type=_parse_int)
+        p.add_argument("--n", type=_parse_int, default=1)
 
-    p = sub.add_parser("k3", parents=[common])
-    p.add_argument("--m", type=_parse_int)
-    p.add_argument("--a", type=_parse_int)
-    p.add_argument("--b", type=_parse_int)
-    p.add_argument("--n", type=_parse_int, default=1)
-    p.set_defaults(func=cmd_k3)
-
-    p = sub.add_parser("intersect", parents=[common])
-    p.add_argument("--cap", type=_parse_int, default=_env_default("cap"),
-                   help="search cap for trace matching")
-    p.add_argument("--bound", **bound)
-    p.add_argument("--flavor", required=True,
-                   choices=(*_FLAVOR_ALIASES, *_FLAVORS))
-    p.add_argument("--p1", type=_parse_int, required=True)
-    p.add_argument("--p2", type=_parse_int, required=True)
-    p.add_argument("--count", type=_parse_int, default=5)
-    p.add_argument("--x-bound", type=_parse_int)
-    p.set_defaults(func=cmd_intersect)
+    if p := subparser("intersect", cmd_intersect):
+        p.add_argument("--cap", type=_parse_int, default=_env_default("cap"),
+                       help="search cap for trace matching")
+        p.add_argument("--bound", **bound)
+        p.add_argument("--flavor", required=True,
+                       choices=(*_FLAVOR_ALIASES, *_FLAVORS))
+        p.add_argument("--p1", type=_parse_int, required=True)
+        p.add_argument("--p2", type=_parse_int, required=True)
+        p.add_argument("--count", type=_parse_int, default=5)
+        p.add_argument("--x-bound", type=_parse_int)
     return parser
 
 
@@ -477,8 +497,11 @@ def _validate(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A first word that names a subcommand is the subcommand: the top-level
+    # parser takes no flag.  Otherwise the full parser reports the error.
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(named).parse_args(argv)
     problem = _validate(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)

@@ -220,35 +220,35 @@ def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int,
 
     Candidate x-values are the roots of the perfect squares d*w^2 + sign over
     the full w-range of the equation with the larger d (``oracle.square_rows``).
-    The scanned w is that equation's coordinate; the other coordinate solves
-    the other equation, under the flavor's sign pairing, by an exact isqrt.
-    Nothing is shared with the fast path of ``intersect``.  An x that solves
-    two sign pairings takes the first pairing, in the order of ``sign_pairs``.
-    Bounds whose rows would leave int64 raise ValueError before any row is
-    scanned.
+    The scanned w is that equation's coordinate.  For each sign pairing the
+    search is also given the other equation (d', sign'), so its residue wheel
+    keeps only the w for which x^2 - sign' can be d' times a square modulo
+    each wheel modulus, and its exact check keeps only the x that solve
+    both; the other coordinate is then the isqrt of (x^2 - sign') / d'.
+    The second condition prunes most rows when d1*d2 is not a square or the
+    signs differ (opposite_signs); a square system with equal signs scans
+    as many rows as with one equation.  Nothing is shared with the fast
+    path of ``intersect``.  An x that solves two sign pairings takes the
+    first pairing, in the order of ``sign_pairs``.  Bounds whose rows would
+    leave int64 raise ValueError before any row is scanned.
     """
     from .oracle import square_rows
     if x_bound < 2:
         raise ValueError("x_bound must be >= 2")
-    pairs = system.sign_pairs
     scan_first = system.d1 >= system.d2
     d, d_other = ((system.d1, system.d2) if scan_first
                   else (system.d2, system.d1))
     # d*w^2 = x^2 - sign <= x_bound^2 + 4 is the whole range.
     w_bound = isqrt((x_bound * x_bound + 4) // d)
+    signs = [(s1, s2) if scan_first else (s2, s1)
+             for s1, s2 in system.sign_pairs]
     # A list, so that the int64 guard of every sign runs before any scan.
-    scans = [square_rows(d, s1 if scan_first else s2, 0, w_bound)
-             for s1, s2 in pairs]
+    scans = [square_rows(d, sign, 0, w_bound, (d_other, sign_other))
+             for sign, sign_other in signs]
     out = {}
-    for (s1, s2), rows in zip(pairs, scans):
-        sign_other = s2 if scan_first else s1
+    for (_, sign_other), rows in zip(signs, scans):
         for w, x in rows:
-            if not 2 <= x <= x_bound or x in out:
-                continue
-            num = x * x - sign_other
-            if num < 0 or num % d_other:
-                continue
-            v = isqrt(num // d_other)
-            if v * v == num // d_other:
+            if 2 <= x <= x_bound and x not in out:
+                v = isqrt((x * x - sign_other) // d_other)
                 out[x] = (x, w, v) if scan_first else (x, v, w)
     return [out[x] for x in sorted(out)]

@@ -5,9 +5,13 @@ results by direct enumeration.  They share no code with the modules they
 validate.  The big enumerations scan only the rows a residue wheel cannot
 rule out, with numpy (imported on first use), and confirm every candidate
 in exact integer arithmetic; the brute-force intersection search uses the
-same square search.  Each numpy chunk is whole wheel turns (turn starts
-plus the residue list, by broadcasting) or a slice of one turn, and is
-filtered by a float square root computed in place.
+same square search, given the system's second equation as a second
+residue condition and a second exact check.  That condition prunes when
+d1*d2 is not a square or the two signs differ; for a square d1*d2 and
+equal signs it is implied modulo the odd moduli prime to the second d, and
+prunes next to nothing.  Each numpy chunk is whole wheel turns (turn
+starts plus the residue list, by broadcasting) or a slice of one turn, and
+is filtered by a float square root computed in place.
 """
 
 from __future__ import annotations
@@ -45,16 +49,23 @@ def naive_lucas(params: LucasParams, n: int) -> SeqTerm:
     return SeqTerm(n, u0, v0)
 
 
-def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
+def _wheel(d: int, sign: int, lo: int, hi: int,
+           other: Optional[tuple[int, int]] = None) -> Iterator[np.ndarray]:
     """Ascending int64 chunks (at most 2^16 long) of the w in [lo, hi] for
-    which d*w^2 + sign is a square modulo every wheel modulus.
+    which d*w^2 + sign is a square modulo every wheel modulus and, given
+    other = (d2, sign2), d*w^2 + sign - sign2 is d2 times a square modulo it.
 
     A square stays a square mod m, so no w with d*w^2 + sign a perfect square
-    is dropped (Cohen, GTM 138, Alg. 1.7.3).  Moduli that reject no residue
-    are skipped.  A modulus m that keeps k residues multiplies the residue
-    list by k and the rows left to scan by k/m, so none is added once the
-    rows it would save are fewer than WHEEL_RESIDUE_COST times the residues
-    it would build, or once the wheel would outgrow [lo, hi].
+    is dropped (Cohen, GTM 138, Alg. 1.7.3); nor, with a second equation
+    x^2 - d2*z^2 = sign2 of the same x, is one where x^2 - sign2 = d2*z^2.
+    The second condition prunes when d*d2 is not a square or the signs
+    differ; for a square d*d2 and equal signs it is implied modulo every odd
+    m prime to d2.
+    Moduli that reject no residue are skipped.  A modulus m that keeps k
+    residues multiplies the residue list by k and the rows left to scan by
+    k/m, so none is added once the rows it would save are fewer than
+    WHEEL_RESIDUE_COST times the residues it would build, or once the wheel
+    would outgrow [lo, hi].
     A chunk is whole wheel turns, turn start + residue by broadcasting, or a
     slice of one turn when a turn keeps more than 2^16 residues; only the
     first and the last turn are trimmed to [lo, hi].
@@ -66,6 +77,10 @@ def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
         if wheel * m > rows:
             break
         squares, dm, sm = _SQUARES[m], d % m, sign % m
+        if other is not None:
+            # x^2 = d*a^2 + sign is also sign2 + d2 times a square mod m.
+            d2, sign2 = other
+            squares = squares & {(d2 * s + sign2) % m for s in squares}
         keep = [a for a in range(m) if (dm * a * a + sm) % m in squares]
         if not keep:
             return
@@ -96,27 +111,30 @@ def _wheel(d: int, sign: int, lo: int, hi: int) -> Iterator[np.ndarray]:
             yield w
 
 
-def square_rows(d: int, sign: int, lo: int,
-                hi: int) -> Iterator[tuple[int, int]]:
+def square_rows(d: int, sign: int, lo: int, hi: int,
+                other: Optional[tuple[int, int]] = None
+                ) -> Iterator[tuple[int, int]]:
     """Iterator over (w, r) with lo <= w <= hi and d*w^2 + sign == r^2 >= 0,
-    ascending in w.
+    ascending in w; given other = (d2, sign2), only those with r^2 - sign2
+    equal to d2 times a perfect square.
 
-    Wheel survivors pass a float-sqrt filter, then an exact isqrt check.
+    Wheel survivors pass a float-sqrt filter, then exact isqrt checks.
     Raises ValueError at once when d*w^2 + sign or the square of its rounded
     root could leave int64, where numpy would wrap silently.
     """
     top = d * hi ** 2 + max(sign, 0)
     if top > INT64_MAX or (isqrt(top) + 1) ** 2 > INT64_MAX:
         raise ValueError(f"d*w^2 + sign for d={d}, w <= {hi} exceeds int64")
-    return _confirmed_rows(d, sign, lo, hi)
+    return _confirmed_rows(d, sign, lo, hi, other)
 
 
-def _confirmed_rows(d: int, sign: int, lo: int,
-                    hi: int) -> Iterator[tuple[int, int]]:
+def _confirmed_rows(d: int, sign: int, lo: int, hi: int,
+                    other: Optional[tuple[int, int]]
+                    ) -> Iterator[tuple[int, int]]:
     import numpy as np
     # The guard lets d itself exceed int64 only when hi = 0, where d*w^2 = 0.
     d64 = min(d, INT64_MAX)
-    for w in _wheel(d, sign, lo, hi):
+    for w in _wheel(d, sign, lo, hi, other):
         # t = d*w^2 + sign and |rint(sqrt(t))^2 - t|, in place.  A negative
         # t (sign < 0 and d*w^2 < -sign) is clipped to 0 for the square root;
         # the exact check below drops its row.
@@ -135,8 +153,17 @@ def _confirmed_rows(d: int, sign: int, lo: int,
             tt = d * ww * ww + sign
             if tt >= 0:
                 rr = isqrt(tt)
-                if rr * rr == tt:
+                if rr * rr == tt and (other is None or _solves(rr, *other)):
                     yield ww, rr
+
+
+def _solves(x: int, d2: int, sign2: int) -> bool:
+    """True when x^2 - d2*z^2 = sign2 for an integer z."""
+    num = x * x - sign2
+    if num < 0 or num % d2:
+        return False
+    z = isqrt(num // d2)
+    return z * z == num // d2
 
 
 def enumerate_pell(d: int, sign: int, v_bound: int) -> list[PellSolution]:

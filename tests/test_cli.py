@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pellucas import intersection, k3, lattice, pell
-from pellucas.cli import _int_to_str, _parse_int, main
+from pellucas.cli import _int_to_str, _parse_int, build_parser, main
 from pellucas.errors import InvariantError
 from pellucas.lucas import LucasParams, gen_fib_a, lucas_uv
 
@@ -182,7 +182,21 @@ def test_flag_a_subcommand_never_reads_is_a_usage_error(capsys, flag, argv):
         main([*argv, *flag])
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
-    assert "usage:" in out.err and f"unrecognized arguments: {flag[0]}" in out.err
+    # Reported with the subcommand's usage line, which lists what it takes.
+    assert out.err.startswith(f"usage: pellucas {argv[0]} [-h] [--format")
+    assert f"pellucas {argv[0]}: error: unrecognized arguments: {flag[0]}" in out.err
+
+
+def test_parser_of_one_subcommand_lists_all_six(capsys):
+    full = build_parser()
+    for name in ("lucas", "pell", "member", "lattice", "k3", "intersect"):
+        one = build_parser(name)
+        assert one.format_help() == full.format_help()
+        # The other subcommands have no arguments in it.
+        other = "k3" if name == "lucas" else "lucas"
+        with pytest.raises(SystemExit):
+            one.parse_args([other, "--n", "5"])
+        assert "unrecognized arguments: --n 5" in capsys.readouterr().err
 
 
 def test_cap_exceeded_exit_4(capsys):

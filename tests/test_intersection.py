@@ -60,6 +60,11 @@ def test_brute_force_examples():
     s = PellSystem("plus_plus", 1, 4)
     assert brute_force_common(s, 100) == [(2, 0, 0), (4, 2, 1), (18, 8, 4), (76, 34, 17)]
     assert brute_force_common(PellSystem("plus_plus", 1, 2), 10 ** 6) == [(2, 0, 0)]
+    assert brute_force_common(PellSystem("plus_plus", 1, 2), 10 ** 8) == [(2, 0, 0)]
+    # The scan of d2 = 13 at the int64 edge; x = 3 and 11 take one sign
+    # pairing each.
+    assert brute_force_common(PellSystem("opposite_signs", 1, 3),
+                              3 * 10 ** 9) == [(3, 1, 1), (11, 5, 3)]
     assert brute_force_common(PellSystem("minus_minus", 4, 14), 200) == \
         [(2, 0, 0), (14, 4, 1), (194, 56, 14)]
 
@@ -79,16 +84,21 @@ def test_brute_force_paths_agree():
         assert brute_force_common(system, 150_000) == _walk(system, 150_000)
 
 
-def test_unit_oracle_agrees_with_brute_force_on_opposite_signs():
-    # The --verify oracle of the opposite_signs flavor, whose fast path is
+@pytest.mark.parametrize("flavor", intersection.FLAVORS)
+def test_unit_oracle_agrees_with_brute_force(flavor):
+    # Every system with p1, p2 <= 30: the units oracle shares nothing with
+    # the square search, whose wheel sieves with both equations.  It is the
+    # --verify oracle of the opposite_signs flavor, whose fast path is
     # brute_force_common itself; p = 2 gives d = 8 and the point x = 2.
-    for p1 in range(1, 13):
-        for p2 in range(1, 13):
-            if p1 != p2:
-                system = PellSystem("opposite_signs", p1, p2)
-                for x_bound in (2, 10, 100_000):
-                    assert (common_from_units(system, x_bound)
-                            == brute_force_common(system, x_bound)), system
+    for p1 in range(1, 31):
+        for p2 in range(1, 31):
+            try:
+                system = PellSystem(flavor, p1, p2)
+            except ValueError:
+                continue
+            for x_bound in (2, 10, 10 ** 6):
+                assert (common_from_units(system, x_bound)
+                        == brute_force_common(system, x_bound)), system
 
 
 def test_brute_force_huge_p_small_bound():

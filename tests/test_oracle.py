@@ -140,6 +140,44 @@ def test_wheel_keeps_known_squares(p, plus, sign, below, above, near_top):
     assert rows[w] ** 2 == d * w * w + sign
 
 
+@given(p=st.integers(1, 31622), plus=st.booleans(),
+       sign=st.sampled_from((4, -4)), sign2=st.sampled_from((4, -4)),
+       d2=st.integers(1, 10 ** 9), hit=st.booleans(),
+       below=st.integers(0, 10 ** 6), above=st.integers(0, 10 ** 6),
+       near_top=st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(p=1, plus=True, sign=-4, sign2=4, d2=1, hit=True, below=5, above=10,
+         near_top=True)
+def test_second_equation_keeps_exactly_its_rows(p, plus, sign, sign2, d2, hit,
+                                                below, above, near_top):
+    # Given x^2 - d2*z^2 = sign2 as well, square_rows yields the one-equation
+    # rows (w, x) whose x solves it, and no others.  One window sits at a
+    # Lucas square, near the int64 limit or not, and a hit sets
+    # d2 = x^2 - sign2 (z = 1), so that its row solves both equations; near
+    # the limit a second window ends at the last w that square_rows accepts.
+    assume(plus or (p >= 3 and sign == 4))
+    d = p * p + 4 if plus else p * p - 4
+    w_max = _w_max(d, sign)
+    w = _lucas_square(p, plus, sign, w_max if near_top else w_max // 10 ** 6)
+    assume(w is not None)
+    x = isqrt(d * w * w + sign)
+    if hit:
+        d2 = x * x - sign2
+        assume(d2 > 0)
+
+    def solves(r):
+        num = r * r - sign2
+        return num >= 0 and num % d2 == 0 and isqrt(num // d2) ** 2 == num // d2
+
+    windows = [(max(0, w - below), min(w_max, w + above))]
+    if near_top:
+        windows.append((max(0, w_max - above), w_max))
+    for lo, hi in windows:
+        want = [(v, r) for v, r in square_rows(d, sign, lo, hi) if solves(r)]
+        assert list(square_rows(d, sign, lo, hi, (d2, sign2))) == want
+        assert not hit or (w, x) in want or not lo <= w <= hi
+
+
 def test_square_rows_near_int64_limit():
     # 5*F_45^2 - 4 = L_45^2 is the last Fibonacci square below 2^63.
     f45, l45 = 1134903170, 2537720636
