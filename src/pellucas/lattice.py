@@ -145,12 +145,20 @@ def disc_group_action(lattice: Lattice2, g: Mat2) -> str:
 
 
 def _disc_action(lattice: Lattice2, g: Mat2) -> str:
-    """disc_group_action for a g that the caller has just checked."""
-    det = lattice.disc
-    adj = lattice.gram.adjugate
+    """disc_group_action for a g that the caller has just checked.
+
+    With Q = [[2a, b], [b, 2c]], adj Q = [[2c, -b], [-b, 2a]] and
+    g = [[p, q], [r, s]], the entries of (g - eps*I) * adj(Q) are
+    (p - eps) 2c - q b, q 2a - (p - eps) b, r 2c - (s - eps) b and
+    (s - eps) 2a - r b; g acts as eps*id when det Q divides all four.
+    """
+    det, a2, b, c2 = lattice.disc, 2 * lattice.a, lattice.b, 2 * lattice.c
+    p, q, r, s = g.e00, g.e01, g.e10, g.e11
     for eps, tag in ((1, "+id"), (-1, "-id")):
-        m = (g - Mat2(eps, 0, 0, eps)) @ adj
-        if all(e % det == 0 for e in (m.e00, m.e01, m.e10, m.e11)):
+        if (((p - eps) * c2 - q * b) % det == 0
+                and (q * a2 - (p - eps) * b) % det == 0
+                and (r * c2 - (s - eps) * b) % det == 0
+                and ((s - eps) * a2 - r * b) % det == 0):
             return tag
     return "other"
 

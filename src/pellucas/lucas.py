@@ -126,10 +126,6 @@ class Mat2:
             n >>= 1
         return result
 
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.e00 - other.e00, self.e01 - other.e01,
-                    self.e10 - other.e10, self.e11 - other.e11)
-
     @property
     def trace(self) -> int:
         return self.e00 + self.e11

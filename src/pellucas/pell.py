@@ -12,6 +12,11 @@ the middle quotient).  The unit is checked modulo 2^61 - 1 before it is
 returned, and a failed check raises InvariantError.  Odd solutions
 (d = 5 mod 8) come out directly.  The further solutions follow the Lucas
 recurrence in the trace of the +4 unit.  Everything is integer arithmetic.
+
+One unit is kept: that of the last nonsquare d built, and only once it has
+passed its check.  A table asks +4, -4 and the solutions of each of one d in
+a row, and each question would otherwise walk the continued fraction and
+build the unit again; repeats are adjacent, so one entry serves them.
 """
 
 from __future__ import annotations
@@ -153,33 +158,53 @@ def _fundamental_unit(d: int, b: int, half: list[int],
     return u, v
 
 
+# (d, +4 solution, -4 solution) of the last nonsquare d whose unit was built
+# and passed its norm check; the -4 entry is None on an even period, and the
+# +4 entry None on an odd one until +4 is asked.  d = 0 is never asked.  It
+# is read and rebound as one tuple, which is atomic, so it needs no lock.
+_last: tuple[int, Optional[PellSolution], Optional[PellSolution]] = (0, None, None)
+
+
 def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
     """Minimal positive solution, or None when the equation has none.
 
     For square d and sign +4 the only solution is (2, 0).  For nonsquare d,
     u^2 - d v^2 = -4 is solvable exactly when the period is odd, so an even
     period answers None after half a walk, before any convergent is built.
+    The unit of the last nonsquare d built is kept once it has passed its
+    norm check, so asking the other sign of the same d next (or the same
+    sign again) neither walks nor builds: tables ask both signs of one d in
+    a row.  A -4 question answered None after the walk leaves it as it was.
     """
+    global _last
     d, sign = problem.d, problem.sign
-    s = isqrt_exact(d)
-    if s is not None:
-        if sign == 4:
-            return PellSolution(2, 0, 4)
-        # u^2 - (sv)^2 = -4 factors as (sv-u)(sv+u) = 4: needs s | 2.
-        if d == 1:
-            return PellSolution(0, 2, -4)
-        if d == 4:
-            return PellSolution(0, 1, -4)
-        return None
-    b, half, middle = _half_period(d)
-    if sign == -4 and middle is not None:
-        return None
-    u, v = _fundamental_unit(d, b, half, middle)
-    if middle is not None or sign == -4:
-        return PellSolution(u, v, sign)
-    # The unit of norm -1 squares to the +4 one, ((u^2 + d v^2)/2, u v), and
-    # d v^2 = u^2 + 4.
-    return PellSolution(_square(u) + 2, u * v, 4)
+    last_d, plus, minus = _last
+    if last_d != d:
+        s = isqrt_exact(d)
+        if s is not None:
+            if sign == 4:
+                return PellSolution(2, 0, 4)
+            # u^2 - (sv)^2 = -4 factors as (sv-u)(sv+u) = 4: needs s | 2.
+            if d == 1:
+                return PellSolution(0, 2, -4)
+            if d == 4:
+                return PellSolution(0, 1, -4)
+            return None
+        b, half, middle = _half_period(d)
+        if sign == -4 and middle is not None:
+            return None
+        u, v = _fundamental_unit(d, b, half, middle)
+        if middle is not None:
+            plus, minus = PellSolution(u, v, 4), None
+        else:
+            plus, minus = None, PellSolution(u, v, -4)
+    if sign == 4 and plus is None:
+        # The unit of norm -1 squares to the +4 one, ((u^2 + d v^2)/2, u v),
+        # and d v^2 = u^2 + 4.
+        u, v = minus.u, minus.v
+        plus = PellSolution(_square(u) + 2, u * v, 4)
+    _last = (d, plus, minus)
+    return plus if sign == 4 else minus
 
 
 def solutions_iter(problem: PellProblem, count: int) -> list[PellSolution]:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pellucas.lattice import (Lattice2, disc_group_action, find_roots,
-                              isometry_det, isometry_from_pell, make_lattice,
-                              positive_norm_vector, preserves_cone,
-                              so_plus_generator)
+from pellucas.lattice import (Lattice2, _disc_action, disc_group_action,
+                              find_roots, isometry_det, isometry_from_pell,
+                              make_lattice, positive_norm_vector,
+                              preserves_cone, so_plus_generator)
 from pellucas.lucas import Mat2, is_square
 from pellucas.oracle import _disc_cosets, disc_action_direct
 from pellucas.pell import PellProblem, PellSolution, fundamental_solution
@@ -62,15 +62,48 @@ def test_disc_group_action_basics():
 
 
 def test_disc_group_action_matches_direct_enumeration():
-    tested = 0
-    while tested < 40:
-        lat = random_hyperbolic(bound=8, nonsquare=True)
-        if abs(lat.disc) > 200:
-            continue
-        gen = so_plus_generator(lat)
-        for g in (gen.g, gen.g @ gen.g, Mat2(-1, 0, 0, -1) @ gen.g):
-            assert disc_group_action(lat, g) == disc_action_direct(lat, g)
-        tested += 1
+    # Every nonsquare hyperbolic form with |a|, |b|, |c| <= 12, non-primitive
+    # ones included, and g = +-gen, +-gen^2, +-gen^3.  Here 256 cases meet
+    # the two diagonal congruences of (g - eps*I) adj(Q) but not the two
+    # off-diagonal ones, e.g. (-12, -8, 12), its generator and eps = 1.
+    minus_id, span = Mat2(-1, 0, 0, -1), range(-12, 13)
+    checked = 0
+    for a in span:
+        for b in span:
+            for c in span:
+                d = b * b - 4 * a * c
+                if d <= 0 or is_square(d):
+                    continue
+                lat = make_lattice(a, b, c)
+                g = so_plus_generator(lat).g
+                g2 = g @ g
+                for h in (g, g2, g2 @ g):
+                    for m in (h, minus_id @ h):
+                        assert disc_group_action(lat, m) == \
+                            disc_action_direct(lat, m), (a, b, c, m)
+                checked += 1
+    assert checked == 7296
+    lat = make_lattice(-12, -8, 12)
+    assert lat.k == 4
+    assert disc_group_action(lat, so_plus_generator(lat).g) == "other"
+
+
+def test_disc_action_divisibility_matches_direct_on_every_small_matrix():
+    # g = eps on (dual lattice)/(lattice) is defined for every integer g, not
+    # only isometries.  On isometries each off-diagonal congruence follows
+    # from the other three on every case tried; here each one decides some.
+    span = range(-2, 3)
+    mats = [Mat2(p, q, r, s) for p in span for q in span for r in span
+            for s in span]
+    for a in span:
+        for b in span:
+            for c in span:
+                lat = Lattice2(a, b, c)
+                if lat.disc == 0:
+                    continue
+                for g in mats:
+                    assert _disc_action(lat, g) == disc_action_direct(lat, g), \
+                        (a, b, c, g)
 
 
 def test_enumerate_disc_group_orders():

@@ -301,6 +301,94 @@ def test_count_is_checked_before_solvability():
         solutions_iter(PellProblem(7, -4), 1)
 
 
+# --- the kept unit -----------------------------------------------------------
+
+COLD = (0, None, None)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    """Start from no kept unit, so no earlier test's d is answered from it;
+    the entry before the test is restored after it."""
+    monkeypatch.setattr(pell, "_last", COLD)
+
+
+def _cold_answer(d, sign):
+    pell._last = COLD
+    return fundamental_solution(PellProblem(d, sign))
+
+
+def _cold_solutions(d, sign, count):
+    pell._last = COLD
+    try:
+        return solutions_iter(PellProblem(d, sign), count)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("ds", [
+    [d for d in range(2, 2001) if not is_square(d)],
+    # even and odd periods, half periods of 5 000 to 36 000 steps
+    [10 ** 9 + 7, 10 ** 9 + 21, 10 ** 10 + 13, 10 ** 11 + 3, 10 ** 12 + 3,
+     10 ** 12 + 85]],
+    ids=["d<=2000", "d in 1e9..1e12"])
+def test_kept_unit_answers_as_a_cold_one(cold_memo, ds):
+    for d in ds:
+        want = {sign: _cold_answer(d, sign) for sign in (4, -4)}
+        sols = {sign: _cold_solutions(d, sign, 4) for sign in (4, -4)}
+        for order in ((4, -4), (-4, 4)):
+            pell._last = COLD
+            for sign in order + order:  # the second round is all hits
+                assert fundamental_solution(PellProblem(d, sign)) == want[sign]
+            for sign in order:
+                if sols[sign] is None:
+                    with pytest.raises(ValueError, match="has no solution"):
+                        solutions_iter(PellProblem(d, sign), 4)
+                else:
+                    assert solutions_iter(PellProblem(d, sign), 4) == sols[sign]
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    true_fn = getattr(pell, name)
+
+    def counted(*args):
+        calls.append(args)
+        return true_fn(*args)
+
+    monkeypatch.setattr(pell, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", [5, 13, 10 ** 9 + 7, 999999937])
+def test_a_table_row_walks_once(cold_memo, monkeypatch, d):
+    # +4, -4 and the solutions of each: one walk; a repeated +4 on an odd
+    # period does not square the -4 unit again.
+    walks = _counting(monkeypatch, "_half_period")
+    squares = _counting(monkeypatch, "_square")
+    fundamental_solution(PellProblem(d, 4))
+    squared = len(squares)
+    fundamental_solution(PellProblem(d, -4))
+    fundamental_solution(PellProblem(d, 4))
+    assert len(squares) == squared
+    solutions_iter(PellProblem(d, 4), 3)
+    try:
+        solutions_iter(PellProblem(d, -4), 3)
+    except ValueError:
+        pass
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("d", [3, 6, 7, 94, 10 ** 9 + 7, 10 ** 12 + 3])
+def test_minus_on_even_period_builds_no_convergent(cold_memo, monkeypatch, d):
+    built = _counting(monkeypatch, "_convergent_matrix")
+    assert fundamental_solution(PellProblem(d, -4)) is None
+    assert built == [] and pell._last == COLD
+    fundamental_solution(PellProblem(d, 4))
+    assert fundamental_solution(PellProblem(d, -4)) is None
+    assert len(built) == 1 and pell._last[0] == d
+
+
 # --- half-period kernel -------------------------------------------------------
 
 def _full_period(d):
@@ -389,16 +477,20 @@ def test_tiny_period_families(n):
     assert _answers(n * n - 2) == ((2 * n * n - 2, 2 * n), None)
 
 
-def test_norm_guard_catches_a_wrong_product(monkeypatch):
+def test_norm_guard_catches_a_wrong_product(cold_memo, monkeypatch):
     def corrupt(mats):
         e, f, g, h = mat2_product(mats)
         return e + 1, f, g, h
 
+    kept = fundamental_solution(PellProblem(5, 4))
+    entry = pell._last
     monkeypatch.setattr(pell, "mat2_product", corrupt)
     # -4 on an even period answers None before any product is built.
     for d, sign in ((2, 4), (2, -4), (3, 4), (94, 4), (13, -4), (10 ** 9 + 7, 4)):
         with pytest.raises(InvariantError, match="norm check"):
             fundamental_solution(PellProblem(d, sign))
+        assert pell._last is entry  # a unit that fails is never kept
+    assert fundamental_solution(PellProblem(5, 4)) == kept
 
 
 def test_norm_guard_survives_python_O():
