@@ -14,8 +14,9 @@ outgrow 64 bits quickly.
 
 Each subcommand imports the modules it runs (the oracle only under
 --verify and for the opposite_signs square search), so parsing the command
-line loads no math module; main builds the arguments of the named
-subcommand only.
+line loads no math module.  A call whose argv[0] names a subcommand builds
+that subcommand's parser alone; anything else goes to build_parser(), the
+parser of all six.  A flag that the call would leave unread is a usage error.
 
 Integers of any size cross the boundary both ways: _int_to_str and
 _parse_int convert past the interpreter's int/str digit limit without
@@ -56,7 +57,6 @@ _FORMATS = ("plain", "structured")
 _FLAVOR_ALIASES = {"++": "plus_plus", "--": "minus_minus", "mm": "minus_minus",
                    "+-": "mixed", "pm": "mixed", "opp": "opposite_signs"}
 _FLAVORS = tuple(dict.fromkeys(_FLAVOR_ALIASES.values()))
-_SUBCOMMANDS = ("lucas", "pell", "member", "lattice", "k3", "intersect")
 
 
 def _env_default(name: str, fallback=None):
@@ -129,6 +129,18 @@ def _parse_int(text: str) -> int:
     return -value if sign == "-" else value
 
 
+def _parse_range(spec: str) -> range:
+    """LO..HI, both ends included, each end read by _parse_int."""
+    lo, sep, hi = spec.partition("..")
+    try:
+        if sep:
+            return range(_parse_int(lo), _parse_int(hi) + 1)
+    except argparse.ArgumentTypeError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected LO..HI, not {spec[:_PLAIN_DIGITS]!r}")
+
+
 class _Digits(str):
     """Decimal digits that show without quotes inside a container's repr."""
 
@@ -136,38 +148,21 @@ class _Digits(str):
         return str(self)
 
 
-def _plain(obj):
-    """obj for plain output: every int, also inside lists, tuples and dicts,
-    becomes its _Digits."""
+def _render(obj, text):
+    """obj for output: every int, also inside lists, tuples and dicts,
+    becomes text of its decimal digits (_Digits for plain output, str for
+    JSON), and a range its LO..HI."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return _Digits(_int_to_str(obj))
+        return text(_int_to_str(obj))
+    if isinstance(obj, range):
+        return f"{_int_to_str(obj.start)}..{_int_to_str(obj.stop - 1)}"
     if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
+        return {k: _render(v, text) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return type(obj)(_plain(v) for v in obj)
+        return type(obj)(_render(v, text) for v in obj)
     return obj
-
-
-def _jsonable(obj):
-    """obj for JSON: dataclasses become dicts, tuples lists, ints text."""
-    from dataclasses import asdict, is_dataclass
-
-    def walk(obj):
-        if is_dataclass(obj):
-            return walk(asdict(obj))
-        if isinstance(obj, dict):
-            return {k: walk(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [walk(v) for v in obj]
-        if isinstance(obj, bool) or obj is None:
-            return obj
-        if isinstance(obj, int):
-            return _int_to_str(obj)
-        return obj
-
-    return walk(obj)
 
 
 class Record:
@@ -184,14 +179,14 @@ class Record:
         """The whole output text."""
         if fmt == "structured":
             import json
-            doc = {"command": self.command, "inputs": _jsonable(self.inputs),
-                   "result": _jsonable(self.result),
-                   "verify": _jsonable(self.verify), "version": __version__}
-            return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        lines = [f"# {self.command} {_plain(self.inputs)}"]
-        lines += [f"{key}: {_plain(value)}" for key, value in self.result.items()]
+            doc = {"command": self.command, "inputs": self.inputs,
+                   "result": self.result, "verify": self.verify,
+                   "version": __version__}
+            return json.dumps(_render(doc, str), indent=2, sort_keys=True) + "\n"
+        lines = [f"# {self.command} {_render(self.inputs, _Digits)}"]
+        lines += [f"{k}: {v}" for k, v in _render(self.result, _Digits).items()]
         if self.verify is not None:
-            lines.append(f"verify: {_plain(self.verify)}")
+            lines.append(f"verify: {_render(self.verify, _Digits)}")
         lines.append(f"elapsed: {time.perf_counter() - self.started:.3f}s")
         return "\n".join(lines) + "\n"
 
@@ -202,14 +197,9 @@ class Record:
         return EXIT_OK
 
 
-def _parse_range(spec: str) -> range:
-    lo, _, hi = spec.partition("..")
-    return range(int(lo), int(hi) + 1)
-
-
 def cmd_lucas(args, rec: Record) -> int:
     from . import lucas
-    indices = _parse_range(args.range) if args.range else [args.n]
+    indices = [args.n] if args.range is None else args.range
     if args.a is not None:
         rec.result["terms"] = got = [lucas.gen_fib_a(args.a, n) for n in indices]
         params = lucas.LucasParams(args.a, -1)
@@ -395,78 +385,55 @@ def cmd_intersect(args, rec: Record) -> int:
     return EXIT_OK
 
 
-class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser: an argument it does not take is reported with
-    its own usage line, not the top-level one."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        args, extra = super().parse_known_args(args, namespace)
-        if extra:
-            self.error(f"unrecognized arguments: {' '.join(extra)}")
-        return args, extra
+_COMMANDS = {"lucas": cmd_lucas, "pell": cmd_pell, "member": cmd_member,
+             "lattice": cmd_lattice, "k3": cmd_k3, "intersect": cmd_intersect}
 
 
-def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or, given one name, a parser that
-    lists all six but has the arguments of that one only."""
+def _common_parser() -> argparse.ArgumentParser:
+    """The parent parser of the flags that every subcommand takes."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=_FORMATS,
                         default=_env_default("format", "plain"))
     common.add_argument("--verify", action="store_true",
                         default=_env_default("verify", "").lower()
                         in ("1", "true", "yes"))
+    return common
 
-    parser = argparse.ArgumentParser(prog="pellucas")
-    sub = parser.add_subparsers(dest="subcommand", required=True,
-                                parser_class=_SubcommandParser)
 
-    def subparser(name, func):
-        if subcommand not in (None, name):
-            # Listed only: main never hands it an argument, nor -h.
-            sub.add_parser(name, add_help=False)
-            return None
-        p = sub.add_parser(name, parents=[common])
-        p.set_defaults(func=func)
-        return p
-
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Add the flags of subcommand `name` to its parser p."""
     # Only the subcommands whose cmd_* reads --bound (or --cap) take it.
     bound = dict(type=_parse_int, default=_env_default("bound", 10 ** 6),
                  help="enumeration bound used by --verify")
-
-    if p := subparser("lucas", cmd_lucas):
+    if name == "lucas":
         p.add_argument("--p", type=_parse_int)
         p.add_argument("--q", type=_parse_int)
         p.add_argument("--a", type=_parse_int)
         p.add_argument("--b", type=_parse_int)
         p.add_argument("--n", type=_parse_int)
-        p.add_argument("--range")
-
-    if p := subparser("pell", cmd_pell):
+        p.add_argument("--range", type=_parse_range)
+    elif name == "pell":
         p.add_argument("--bound", **bound)
         p.add_argument("--d", type=_parse_int, required=True)
         p.add_argument("--sign", type=lambda s: int(s.replace("+", "")),
                        choices=(4, -4), default=4)
         p.add_argument("--count", type=_parse_int, default=1)
         p.add_argument("--require-solution", action="store_true")
-
-    if p := subparser("member", cmd_member):
+    elif name == "member":
         p.add_argument("--value", type=_parse_int, required=True)
         p.add_argument("--a", type=_parse_int)
         p.add_argument("--b", type=_parse_int)
-
-    if p := subparser("lattice", cmd_lattice):
+    elif name == "lattice":
         p.add_argument("--bound", **bound)
         p.add_argument("--a", type=_parse_int, required=True)
         p.add_argument("--b", type=_parse_int, required=True)
         p.add_argument("--c", type=_parse_int, required=True)
-
-    if p := subparser("k3", cmd_k3):
+    elif name == "k3":
         p.add_argument("--m", type=_parse_int)
         p.add_argument("--a", type=_parse_int)
         p.add_argument("--b", type=_parse_int)
-        p.add_argument("--n", type=_parse_int, default=1)
-
-    if p := subparser("intersect", cmd_intersect):
+        p.add_argument("--n", type=_parse_int)  # 1 for --b, set by _validate
+    elif name == "intersect":
         p.add_argument("--cap", type=_parse_int, default=_env_default("cap"),
                        help="search cap for trace matching")
         p.add_argument("--bound", **bound)
@@ -476,23 +443,49 @@ def build_parser(subcommand: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--p2", type=_parse_int, required=True)
         p.add_argument("--count", type=_parse_int, default=5)
         p.add_argument("--x-bound", type=_parse_int)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all six subcommands, which main uses only when argv[0]
+    names none of them: it prints the top-level help and usage errors."""
+    common = _common_parser()
+    parser = argparse.ArgumentParser(prog="pellucas")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in _COMMANDS:
+        _add_arguments(sub.add_parser(name, parents=[common]), name)
     return parser
 
 
 def _validate(args) -> str | None:
+    """The usage error of args that argparse cannot see, or None.  It also
+    applies k3's --n default, which only --b reads."""
     if args.format not in _FORMATS:  # argparse checks no default (env value)
         return (f"{ENV_PREFIX}FORMAT must be one of {', '.join(_FORMATS)}, "
                 f"not {args.format!r}")
     if args.subcommand == "lucas":
+        given = ((args.a is not None) + (args.b is not None)
+                 + (args.p is not None or args.q is not None))
+        if given > 1:
+            return "lucas takes only one of --a, --b, or --p with --q"
         if args.a is None and args.b is None and (args.p is None or args.q is None):
             return "lucas needs --a, --b, or both --p and --q"
+        if args.n is not None and args.range is not None:
+            return "lucas takes --n or --range, not both"
         if args.n is None and args.range is None:
             return "lucas needs --n or --range"
     if args.subcommand == "member" and (args.a is None) == (args.b is None):
         return "member needs exactly one of --a / --b"
     if args.subcommand == "k3":
-        if args.b is None and (args.m is None or args.a is None):
+        if args.b is not None:
+            if args.m is not None or args.a is not None:
+                return "k3 takes --b or --m with --a, not both"
+            if args.n is None:
+                args.n = 1
+        elif args.m is None or args.a is None:
             return "k3 needs --b or both --m and --a"
+        elif args.n is not None:
+            return ("k3 takes --n with --b only: for --m and --a, n is the "
+                    "rank of apparition")
     return None
 
 
@@ -500,18 +493,24 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # A first word that names a subcommand is the subcommand: the top-level
     # parser takes no flag.  Otherwise the full parser reports the error.
-    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(named).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        name = argv[0]
+        parser = argparse.ArgumentParser(prog=f"pellucas {name}",
+                                         parents=[_common_parser()])
+        _add_arguments(parser, name)
+        # subcommand comes first in the namespace, so in the plain header.
+        args = parser.parse_args(argv[1:], argparse.Namespace(subcommand=name))
+    else:
+        args = build_parser().parse_args(argv)
     problem = _validate(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return EXIT_USAGE
     rec = Record(args.subcommand, {k: v for k, v in vars(args).items()
-                                   if k not in ("func", "format", "verify",
-                                                "cap", "bound")
+                                   if k not in ("format", "verify", "cap", "bound")
                                    and v is not None})
     try:
-        code = args.func(args, rec)
+        code = _COMMANDS[args.subcommand](args, rec)
     except SearchCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP

@@ -193,6 +193,7 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
 
     The opposite_signs flavor is enumeration-only and demands an explicit
     x_bound; its output carries no completeness claim beyond that bound.
+    Every other flavor is decided in full and rejects an x_bound.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -201,6 +202,8 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
             raise ValueError("opposite_signs requires an explicit x_bound")
         sols = brute_force_common(system, x_bound)
         return IntersectionResult("finite_only", solutions=sols[:count])
+    if x_bound is not None:
+        raise ValueError(f"x_bound is for opposite_signs, not {system.flavor}")
     if not square_product_test(system):
         return IntersectionResult("trivial_only", solutions=[(2, 0, 0)])
     m, n = minimal_trace_match(system, cap=cap)

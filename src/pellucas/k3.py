@@ -14,9 +14,8 @@ from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lattice import (IsometryAction, Lattice2, _disc_action, isometry_det,
-                      make_lattice, preserves_cone)
-from .lucas import (LucasParams, Mat2, _square, companion_power, gen_fib_a,
+from .lattice import IsometryAction, Lattice2, isometry_action, make_lattice
+from .lucas import (LucasParams, _square, companion_power, gen_fib_a,
                     gen_fib_b, lucas_uv)
 from .pell import is_gen_fib_a, is_gen_fib_b
 
@@ -51,14 +50,6 @@ def case_b_lattice(b: int) -> Lattice2:
     return make_lattice(1, b, 1)
 
 
-def _action(lattice: Lattice2, g: Mat2) -> IsometryAction:
-    det = isometry_det(lattice, g)
-    if det is None:
-        raise InvariantError(f"{g} is not an isometry of {lattice}")
-    return IsometryAction(g, det, g.trace, preserves_cone(lattice, g),
-                          _disc_action(lattice, g))
-
-
 @dataclass(frozen=True)
 class K3CaseA:
     m: int
@@ -91,7 +82,7 @@ def classify_case_a(m: int, a: int) -> K3CaseA:
     """
     n = rank_of_apparition(m, a)
     g = companion_power("M", a, 2 * n)
-    action = _action(case_a_lattice(m, a), g)
+    action = isometry_action(case_a_lattice(m, a), g)
     if action.trace != (a * a + 4) * _square(gen_fib_a(a, n)) + (-1) ** n * 2:
         raise InvariantError(f"trace formula fails for (m, a, n) = {(m, a, n)}")
     return K3CaseA(m, a, n, action, (-1) ** n)
@@ -110,7 +101,7 @@ def classify_case_b(b: int, n: int) -> K3CaseB:
     if n < 1:
         raise ValueError("n must be >= 1")
     g = companion_power("N", b, 2 * n).transpose  # C = N_b^T = [[0,-1],[1,b]]
-    action = _action(case_b_lattice(b), g)
+    action = isometry_action(case_b_lattice(b), g)
     if action.trace != (b * b - 4) * _square(gen_fib_b(b, n)) + 2:
         raise InvariantError(f"trace formula fails for (b, n) = {(b, n)}")
     if action.disc_action != "+id":

@@ -60,10 +60,6 @@ class Lattice2:
         return 2 * (self.a * _square(x) + self.b * _mul(x, y)
                     + self.c * _square(y))
 
-    def pairing(self, v: tuple[int, int], w: tuple[int, int]) -> int:
-        return (2 * self.a * v[0] * w[0] + self.b * (v[0] * w[1] + v[1] * w[0])
-                + 2 * self.c * v[1] * w[1])
-
 
 @dataclass(frozen=True)
 class IsometryAction:
@@ -105,34 +101,6 @@ def isometry_det(lattice: Lattice2, g: Mat2) -> Optional[int]:
     return None
 
 
-def positive_norm_vector(lattice: Lattice2) -> tuple[int, int]:
-    """A vector of positive self-pairing, in closed form.
-
-    (1, 0) or (0, 1) when a or c is positive.  Otherwise one exists only in
-    signature (1,1), b^2 - 4ac > 0: for a < 0, (b, -2a) has norm
-    -2a(b^2 - 4ac); for a = 0 (so b != 0), (b(1 - c), 1) has norm
-    2(b^2 (1 - c) + c) >= 2.
-    """
-    a, b, c = lattice.a, lattice.b, lattice.c
-    if a > 0:
-        return (1, 0)
-    if c > 0:
-        return (0, 1)
-    if not lattice.is_hyperbolic:
-        raise ValueError("a negative definite lattice has no positive-norm vector")
-    return (b, -2 * a) if a < 0 else (b * (1 - c), 1)
-
-
-def preserves_cone(lattice: Lattice2, g: Mat2) -> bool:
-    """True when g keeps the two positive-norm components in place.
-
-    For two positive-norm vectors in signature (1,1) the pairing is nonzero
-    and its sign tells whether they share a component.
-    """
-    w = positive_norm_vector(lattice)
-    return lattice.pairing(g.apply(*w), w) > 0
-
-
 def disc_group_action(lattice: Lattice2, g: Mat2) -> str:
     """'+id' / '-id' / 'other' action on the discriminant group.
 
@@ -163,6 +131,18 @@ def _disc_action(lattice: Lattice2, g: Mat2) -> str:
     return "other"
 
 
+def isometry_action(lattice: Lattice2, g: Mat2) -> IsometryAction:
+    """The IsometryAction of g, which must be a det-1 isometry of lattice.
+
+    In signature (1,1) the det-1 isometries are SO+ (trace >= 2), which keeps
+    each component of the positive cone, and -SO+ (trace <= -2), which swaps
+    them, so preserves_cone is the sign of the trace.
+    """
+    if isometry_det(lattice, g) != 1:
+        raise InvariantError(f"{g} is not a det-1 isometry of {lattice}")
+    return IsometryAction(g, 1, g.trace, g.trace > 0, _disc_action(lattice, g))
+
+
 def isometry_from_pell(lattice: Lattice2, sol: PellSolution) -> IsometryAction:
     """The SO+ element [[(u-bv)/2, -cv], [av, (u+bv)/2]] of a +4 solution."""
     if sol.sign != 4:
@@ -175,10 +155,7 @@ def isometry_from_pell(lattice: Lattice2, sol: PellSolution) -> IsometryAction:
     if (u - b * v) % 2:
         raise InvariantError("parity violation in Pell solution")
     g = Mat2((u - b * v) // 2, -lattice.c * v, lattice.a * v, (u + b * v) // 2)
-    if isometry_det(lattice, g) != 1:
-        raise InvariantError("Pell solution did not give a det-1 isometry")
-    return IsometryAction(g, 1, g.trace, preserves_cone(lattice, g),
-                          _disc_action(lattice, g))
+    return isometry_action(lattice, g)
 
 
 def so_plus_generator(lattice: Lattice2) -> Optional[IsometryAction]:

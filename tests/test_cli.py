@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pellucas import intersection, k3, lattice, pell
-from pellucas.cli import _int_to_str, _parse_int, build_parser, main
+from pellucas.cli import _int_to_str, _parse_int, main
 from pellucas.errors import InvariantError
 from pellucas.lucas import LucasParams, gen_fib_a, lucas_uv
 
@@ -44,7 +45,13 @@ def test_lucas_golden(capsys):
 def test_lucas_range(capsys):
     code, doc, _ = run_json(capsys, "lucas", "--a", "3", "--range", "0..5")
     assert code == 0
+    assert doc["inputs"]["range"] == "0..5"
     assert doc["result"]["terms"] == ["0", "1", "3", "10", "33", "109"]
+    # Both ends are read past the interpreter's int/str digit limit.
+    big = 10 ** 5000
+    code, doc, _ = run_json(capsys, "lucas", "--a", "3", "--range",
+                            f"{_int_to_str(big)}..{_int_to_str(big - 1)}")
+    assert code == 0 and doc["result"]["terms"] == []
 
 
 def test_pell_golden(capsys):
@@ -112,9 +119,14 @@ def test_lattice_golden(capsys):
 def test_k3_golden(capsys):
     code, doc, _ = run_json(capsys, "k3", "--m", "2", "--a", "1")
     assert code == 0
+    # n is read off the rank of apparition, so no --n default is echoed.
+    assert doc["inputs"] == {"subcommand": "k3", "m": "2", "a": "1"}
     assert doc["result"]["n"] == "3"
     assert doc["result"]["symplectic"] is False
     assert doc["result"]["trace"] == "18"
+    # --b alone keeps --n's default of 1.
+    code, doc, _ = run_json(capsys, "k3", "--b", "5")
+    assert code == 0 and doc["inputs"]["n"] == doc["result"]["n"] == "1"
 
 
 def test_intersect_golden(capsys):
@@ -187,16 +199,47 @@ def test_flag_a_subcommand_never_reads_is_a_usage_error(capsys, flag, argv):
     assert f"pellucas {argv[0]}: error: unrecognized arguments: {flag[0]}" in out.err
 
 
-def test_parser_of_one_subcommand_lists_all_six(capsys):
-    full = build_parser()
-    for name in ("lucas", "pell", "member", "lattice", "k3", "intersect"):
-        one = build_parser(name)
-        assert one.format_help() == full.format_help()
-        # The other subcommands have no arguments in it.
-        other = "k3" if name == "lucas" else "lucas"
-        with pytest.raises(SystemExit):
-            one.parse_args([other, "--n", "5"])
-        assert "unrecognized arguments: --n 5" in capsys.readouterr().err
+def test_named_call_builds_two_parsers(capsys, monkeypatch):
+    # The common parent and the named subcommand's own parser; the parser of
+    # all six is built only for a call that names none.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run(capsys, *_LUCAS_5)[0] == 0
+    assert built == [None, "pellucas lucas"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["lucas", "--a", "3", "--b", "5", "--n", "4"],
+    ["lucas", "--p", "1", "--q", "-1", "--a", "3", "--n", "4"],
+    ["lucas", "--p", "1", "--a", "3", "--n", "4"],
+    ["lucas", "--a", "1", "--n", "5", "--range", "1..3"],
+    ["k3", "--b", "5", "--m", "2", "--a", "3"],
+    ["k3", "--m", "2", "--a", "3", "--n", "7"],
+    ["intersect", "--flavor", "++", "--p1", "1", "--p2", "4", "--x-bound", "10"]],
+    ids=["a-b", "pq-a", "p-a", "n-range", "k3-b-ma", "k3-ma-n", "x-bound"])
+def test_unread_input_is_a_usage_error(capsys, argv):
+    # Each flag is read or refused: none is dropped from a call that exits 0.
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("spec", ["5", "5..", "..5", "a..5", "1..x", "1...3",
+                                  "1-3"])
+def test_malformed_range_is_a_usage_error(capsys, spec):
+    with pytest.raises(SystemExit) as exc:
+        main(["lucas", "--a", "1", "--range", spec])
+    out = capsys.readouterr()
+    errors = [line for line in out.err.splitlines() if "error:" in line]
+    assert exc.value.code == 2 and out.out == ""
+    assert errors == [f"pellucas lucas: error: argument --range: "
+                      f"expected LO..HI, not {spec!r}"]
 
 
 def test_cap_exceeded_exit_4(capsys):

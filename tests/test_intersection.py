@@ -161,6 +161,15 @@ def test_opposite_signs_requires_bound():
     assert (3, 1, 1) in r.solutions
 
 
+@pytest.mark.parametrize("flavor, p1, p2", [("plus_plus", 1, 4),
+                                            ("minus_minus", 4, 14),
+                                            ("mixed", 1, 7)])
+def test_x_bound_is_refused_where_it_would_be_unread(flavor, p1, p2):
+    # These flavors are decided in full; a bound would be silently ignored.
+    with pytest.raises(ValueError, match="x_bound"):
+        intersect(PellSystem(flavor, p1, p2), 3, x_bound=10)
+
+
 def test_domain_validation():
     with pytest.raises(ValueError):
         PellSystem("minus_minus", 3, 14)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from pellucas.lattice import (Lattice2, _disc_action, disc_group_action,
                               find_roots, isometry_det, isometry_from_pell,
-                              make_lattice, positive_norm_vector,
-                              preserves_cone, so_plus_generator)
+                              make_lattice, so_plus_generator)
 from pellucas.lucas import Mat2, is_square
 from pellucas.oracle import _disc_cosets, disc_action_direct
 from pellucas.pell import PellProblem, PellSolution, fundamental_solution
@@ -120,23 +119,32 @@ def test_so_plus_generator_examples():
     assert so_plus_generator(make_lattice(1, 1, -1)).trace == 3
 
 
-def test_positive_norm_vector_closed_form():
+def _positive_vector(lat, box=24):
+    """Reference: the first (x, y) with y > 0 of positive norm in a box."""
+    return next((x, y) for y in range(1, box + 1) for x in range(-box, box + 1)
+                if lat.norm(x, y) > 0)
+
+
+def test_preserves_cone_matches_a_positive_vector():
     # Signature (1,1) forms with a <= 0 and c <= 0, where no basis vector has
-    # positive norm.  The SO+ generator keeps the cone and -id swaps it.
-    minus_id = Mat2(-1, 0, 0, -1)
+    # positive norm.  g keeps the cone's component of a positive w exactly
+    # when w . g w > 0, since two positive vectors pair to a nonzero number
+    # whose sign tells whether they share a component.  The unit (u, v)
+    # keeps it and (-u, v) swaps it.
     for a in range(-12, 1):
         for c in range(-12, 1):
             for b in range(-12, 13):
                 if b * b - 4 * a * c <= 0:
                     continue
                 lat = make_lattice(a, b, c)
-                assert lat.norm(*positive_norm_vector(lat)) > 0, (a, b, c)
-                gen = so_plus_generator(lat)
-                if gen is not None:
-                    assert preserves_cone(lat, gen.g), (a, b, c)
-                assert not preserves_cone(lat, minus_id), (a, b, c)
-    with pytest.raises(ValueError):
-        positive_norm_vector(make_lattice(-1, 1, -1))  # negative definite
+                w = _positive_vector(lat)
+                qx, qy = lat.gram.apply(*w)
+                fund = fundamental_solution(PellProblem(lat.pell_d, 4))
+                for u, keeps in ((fund.u, True), (-fund.u, False)):
+                    action = isometry_from_pell(lat, PellSolution(u, fund.v, 4))
+                    gx, gy = action.g.apply(*w)
+                    assert action.preserves_cone is keeps is (gx * qx + gy * qy > 0), \
+                        (a, b, c)
 
 
 def _compose(d, s1, s2):
