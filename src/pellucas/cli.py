@@ -237,7 +237,6 @@ def cmd_pell(args, rec: Record) -> int:
             return EXIT_UNSOLVABLE
         return EXIT_OK
     rec.result["solvable"] = True
-    rec.result["fundamental"] = {"u": fund.u, "v": fund.v}
     sols = list(islice(pell._solutions_from(problem, fund), args.count))
     rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:

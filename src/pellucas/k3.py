@@ -15,8 +15,8 @@ from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
 from .lattice import IsometryAction, Lattice2, isometry_action, make_lattice
-from .lucas import (LucasParams, _square, companion_power, gen_fib_a,
-                    gen_fib_b, lucas_uv)
+from .lucas import (LucasParams, _mul, companion_power, gen_fib_a, gen_fib_b,
+                    lucas_uv)
 from .pell import is_gen_fib_a, is_gen_fib_b
 
 
@@ -83,7 +83,8 @@ def classify_case_a(m: int, a: int) -> K3CaseA:
     n = rank_of_apparition(m, a)
     g = companion_power("M", a, 2 * n)
     action = isometry_action(case_a_lattice(m, a), g)
-    if action.trace != (a * a + 4) * _square(gen_fib_a(a, n)) + (-1) ** n * 2:
+    t = gen_fib_a(a, n)
+    if action.trace != (a * a + 4) * _mul(t, t) + (-1) ** n * 2:
         raise InvariantError(f"trace formula fails for (m, a, n) = {(m, a, n)}")
     return K3CaseA(m, a, n, action, (-1) ** n)
 
@@ -102,7 +103,8 @@ def classify_case_b(b: int, n: int) -> K3CaseB:
         raise ValueError("n must be >= 1")
     g = companion_power("N", b, 2 * n).transpose  # C = N_b^T = [[0,-1],[1,b]]
     action = isometry_action(case_b_lattice(b), g)
-    if action.trace != (b * b - 4) * _square(gen_fib_b(b, n)) + 2:
+    t = gen_fib_b(b, n)
+    if action.trace != (b * b - 4) * _mul(t, t) + 2:
         raise InvariantError(f"trace formula fails for (b, n) = {(b, n)}")
     if action.disc_action != "+id":
         raise InvariantError(f"C^(2n) acts as {action.disc_action} for b={b}")
@@ -177,7 +179,7 @@ def correspondence_from_term(flavor: str, param: int, index: int) -> Corresponde
         term, x = seq.u, seq.v
         sign = 4 * (-1) ** index
         omega = (-1) ** index
-        trace = (param * param + 4) * _square(term) + omega * 2
+        trace = (param * param + 4) * _mul(term, term) + omega * 2
         return CorrespondenceRecord("a", param, index, term, x, sign, trace,
                                     omega, _smallest_divisor_ge2(term))
     if flavor == "b":
@@ -185,7 +187,7 @@ def correspondence_from_term(flavor: str, param: int, index: int) -> Corresponde
             raise ValueError("b must be >= 4")
         seq = lucas_uv(LucasParams(param, 1), index)
         term, x = seq.u, seq.v
-        trace = (param * param - 4) * _square(term) + 2
+        trace = (param * param - 4) * _mul(term, term) + 2
         return CorrespondenceRecord("b", param, index, term, x, 4, trace, 1)
     raise ValueError(f"unknown flavor {flavor!r}")
 
@@ -244,7 +246,7 @@ def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
         # m | a_index iff the apparition rank of m divides index (Q = -1).
         if base.m is not None and index % classify_case_a(base.m, param).n:
             raise InvariantError(f"apparition rank of m does not divide {index}")
-        if base.trace != (param * param + 4) * _square(base.term) \
+        if base.trace != (param * param + 4) * _mul(base.term, base.term) \
                 + base.omega_sign * 2:
             raise InvariantError(f"pair-leg trace fails for {base}")
     else:

@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import _FFT_LO, Mat2, _mul, _square, is_square
+from .lucas import _FFT_LO, Mat2, _mul, is_square
 from .pell import (PellProblem, PellSolution, _convergent_matrix,
                    fundamental_solution, isqrt_exact)
 
@@ -57,8 +57,8 @@ class Lattice2:
 
     def norm(self, x: int, y: int) -> int:
         """v^T G v; a big (-2) witness is squared by the multiply kernel."""
-        return 2 * (self.a * _square(x) + self.b * _mul(x, y)
-                    + self.c * _square(y))
+        return 2 * (self.a * _mul(x, x) + self.b * _mul(x, y)
+                    + self.c * _mul(y, y))
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,13 @@ def isometry_action(lattice: Lattice2, g: Mat2) -> IsometryAction:
 
 
 def isometry_from_pell(lattice: Lattice2, sol: PellSolution) -> IsometryAction:
-    """The SO+ element [[(u-bv)/2, -cv], [av, (u+bv)/2]] of a +4 solution."""
+    """The SO+ element [[(u-bv)/2, -cv], [av, (u+bv)/2]] of a +4 solution.
+
+    Only a lattice of signature (1,1) is accepted: on a definite one the
+    positive cone is not two components, so preserves_cone has no meaning.
+    """
+    if not lattice.is_hyperbolic:
+        raise ValueError("lattice must have signature (1,1)")
     if sol.sign != 4:
         raise ValueError("only solutions of the positive equation give isometries")
     d = lattice.pell_d

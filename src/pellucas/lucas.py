@@ -5,20 +5,17 @@ never materialized; identities that textbooks state via the roots are
 rewritten as integer identities before evaluation.
 
 Big terms cost one full-size product and one full-size square per bit of the
-index in the doubling step of lucas_uv.  From _TOOM_CUTOFF bits on, and when
-the discriminant D is nonzero and below 2^64 in size, the step takes two
-squares instead, and both go to _square, a Toom-3 squaring kernel that beats
-CPython's Karatsuba at that size.  The two-square step divides by D, so D = 0
-and large D keep the product.
+index in the doubling step of lucas_uv.  From _FFT_LO bits on, and when the
+discriminant D is nonzero and below 2^64 in size, the step takes two squares
+instead.  The step divides by D, so D = 0 and large D keep the product.
 
-The one floating-point step is _fft_mul, an exact product by one numpy real
-FFT convolution over 12-bit digits (two digits per three bytes; numpy is
-imported there, on first use).  It squares for _square from _FFT_LO to _FFT_HI
-bits and multiplies for _mul, which serves the full-size products of the
-isometry and Pell checks.  Its rounding error has an a-priori bound near 2^-4
-at the lengths the cap allows, and every result is checked at run time by
-its rounding distance and modulo 2^61 - 1; a failed check raises
-InvariantError.
+Every full-size square and product goes to _mul, which has three size bands:
+plain x * y below _FFT_LO bits; up to a cap, _fft_mul, an exact product by
+one numpy real FFT convolution over 12-bit digits (numpy is imported there,
+on first use); past the cap, one Toom-3 step into five smaller _mul calls.
+The FFT's rounding error has an a-priori bound near 2^-4 at the lengths the
+cap allows, and every result is checked at run time by its rounding distance
+and modulo 2^61 - 1; a failed check raises InvariantError.
 """
 
 from __future__ import annotations
@@ -29,40 +26,30 @@ from math import isqrt
 
 from .errors import InvariantError
 
-# Bit length from which _square takes a Toom-3 step and lucas_uv doubles by
-# two squares.  Swept over lucas_uv at n = 2*10^4 .. 2*10^5 for (p, q) = (1, -1)
-# and (4, 1) (CPython 3.11.7, 2-vCPU x86 VM): the total time is flat from
-# 10 000 to 40 000 bits, about 0.78 of the product step's, and rises to 0.83
-# at 60 000 and 0.86 at 80 000.  20 000 sits inside the flat range.
-_TOOM_CUTOFF = 20_000
-# Bit lengths from which _fft_mul squares (up to _FFT_HI) and multiplies.
-# Medians of 15 alternating pairs on random operands (same VM):
+# Bit length from which _mul multiplies by _fft_mul, and lucas_uv doubles by
+# two squares.  Median ms over random operands (CPython 3.11.7, 2-vCPU x86
+# VM; the VM's speed moves about 1.5x between spells, so read each row on
+# its own):
 #
-#   bits     Toom-3 step / FFT square    x*y / FFT product
-#   20 000   0.71                        0.77
-#   25 000   1.02                        1.07
-#   30 000   0.93-0.99                   1.20-1.22
-#   35 000   1.07                        1.37
-#   40 000   1.20-1.38                   1.39-1.48
-#   60 000   1.55-1.90                   1.88-2.09
-#   100 000  1.87                        2.06
-#   200 000  2.14                        2.72
+#   bits     x*x     FFT square   x*y     FFT product
+#   20 000   0.122   0.152        0.185   0.221
+#   25 000   0.185   0.181        0.265   0.238
+#   27 500   0.212   0.189        0.301   0.249
+#   30 000   0.256   0.217        0.605   0.430
+#   32 500   0.485   0.361        0.723   0.496
+#   35 000   0.495   0.365        0.738   0.487
+#   40 000   0.676   0.425        0.993   0.572
 #
-# Both cross over near 30 000 bits; 40 000 keeps one cutoff for both, with a
-# margin for the slower spells of this VM.  _FFT_HI caps the transform length
-# (nx + ny <= 2 _FFT_HI / 12 digits), and so its memory and its error bound.
-# One square from a fresh interpreter, peak RSS over a warmed-up numpy, and
-# time against a Toom-3 step into five FFT squares (median of 15 pairs):
+# Both cross over near 25 000 bits.  A higher switch costs lucas_uv, whose
+# doublings below it take the product step: with 30 000, a call whose last
+# doubling starts at 26-30 kbit (e.g. (p, q) = (4, 1), n = 3*10^4) ran 1.2x
+# slower than with 25 000, in one process, alternating.
 #
-#   bits        one transform   RSS       Toom-3 step / one transform
-#   524 000     6.5 ms          +2.4 MB   1.20
-#   700 000     8.8 ms          +3.5 MB   1.38
-#   950 000     11.8 ms         +4.9 MB   1.32
-#   1 000 000   15.8 ms         +5.1 MB   1.23
-#
-# At 1 000 000 bits the top squares of lucas_uv(4, 1, 10^6), about 950 000
-# bits, take one transform, for 1.8 MB more than a Toom-3 step would hold.
-_FFT_LO = 40_000
+# _FFT_HI caps the transform length (nx + ny <= 2 _FFT_HI / 12 digits), and
+# so its memory and its error bound: one transform at a square of 1 000 000
+# bits took 15.8 ms and 5.1 MB over a warmed-up numpy.  The top squares of
+# lucas_uv(4, 1, 10^6), about 950 000 bits, take one.
+_FFT_LO = 25_000
 _FFT_HI = 1_000_000
 # Mersenne prime modulus of the residue check on every FFT product.
 _CHECK_MODULUS = (1 << 61) - 1
@@ -102,10 +89,6 @@ class Mat2:
     e10: int
     e11: int
 
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1, 0, 0, 1)
-
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
             self.e00 * other.e00 + self.e01 * other.e10,
@@ -113,18 +96,6 @@ class Mat2:
             self.e10 * other.e00 + self.e11 * other.e10,
             self.e10 * other.e01 + self.e11 * other.e11,
         )
-
-    def __pow__(self, n: int) -> "Mat2":
-        if n < 0:
-            raise ValueError("negative matrix powers are not used")
-        result = Mat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
 
     @property
     def trace(self) -> int:
@@ -287,54 +258,45 @@ def _fft_mul(x: int, y: int) -> int:
 
 
 def _mul(x: int, y: int) -> int:
-    """x * y; by the FFT kernel when both factors have _FFT_LO bits or more.
+    """x * y: plain below _FFT_LO bits, by _fft_mul up to its cap (2 _FFT_HI
+    bits of product), and past the cap by one Toom-3 step.  A square (x is
+    y) stays a square all the way down, so each of its leaves takes one
+    forward transform.
 
-    A product longer than the kernel's cap (2 _FFT_HI bits) is cut: the
-    longer factor is split in half and each half multiplied on its own.
+    The step writes |x| = x2 B^2 + x1 B + x0 with B = 2^k, k a third of the
+    longer factor, and likewise |y|; multiplies the two at the points 0, 1,
+    -1, -2 and infinity by five recursive _mul calls; and recovers the five
+    coefficients of the product by Bodrato's interpolation sequence
+    ("Towards Optimal Toom-Cook Multiplication for Univariate and
+    Multivariate Polynomials in Characteristic 2 and 0", WAIFI 2007), whose
+    only divisions are one exact // 3 and exact halvings.
     """
     bx, by = x.bit_length(), y.bit_length()
     if bx < _FFT_LO or by < _FFT_LO:
         return x * y
     if bx + by <= 2 * _FFT_HI:
         return _fft_mul(x, y)
-    if bx < by:
-        x, y, bx = y, x, by
-    k = bx // 2
-    return (_mul(x >> k, y) << k) + _mul(x & ((1 << k) - 1), y)
-
-
-def _square(x: int) -> int:
-    """x * x; from _TOOM_CUTOFF bits on by one Toom-3 step, recursively, and
-    from _FFT_LO to _FFT_HI bits by the FFT kernel _fft_mul.
-
-    |x| = x2 B^2 + x1 B + x0 with B = 2^k is squared at the points 0, 1, -1,
-    -2 and infinity, and the five coefficients of the square come back by
-    Bodrato's interpolation sequence ("Towards Optimal Toom-Cook
-    Multiplication for Univariate and Multivariate Polynomials in
-    Characteristic 2 and 0", WAIFI 2007), whose only divisions are one exact
-    // 3 and exact halvings.  Above _FFT_HI, Toom-3 steps split the operand
-    until the pieces fit the FFT kernel.
-    """
-    bits = x.bit_length()
-    if bits < _TOOM_CUTOFF:
-        return x * x
-    if _FFT_LO <= bits <= _FFT_HI:
-        return _fft_mul(x, x)
-    x = abs(x)
-    k = (bits + 2) // 3
-    mask = (1 << k) - 1
-    x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
-    t = x0 + x2
-    r0, r1, rm1 = _square(x0), _square(t + x1), _square(t - x1)
-    rm2 = _square(((t - x1 + x2) << 1) - x0)
-    r4 = _square(x2)
+    k = (max(bx, by) + 2) // 3
+    px = _toom3_points(abs(x), k)
+    py = px if x is y else _toom3_points(abs(y), k)
+    r0, r1, rm1, rm2, r4 = map(_mul, px, py)
     r3 = (rm2 - r1) // 3
     r1 = (r1 - rm1) >> 1
     r2 = rm1 - r0
     r3 = ((r2 - r3) >> 1) + (r4 << 1)
     r2 += r1 - r4
     r1 -= r3
-    return ((((((r4 << k) + r3) << k) + r2) << k) + r1 << k) + r0
+    prod = ((((((r4 << k) + r3) << k) + r2) << k) + r1 << k) + r0
+    return -prod if (x < 0) != (y < 0) else prod
+
+
+def _toom3_points(x: int, k: int) -> tuple[int, int, int, int, int]:
+    """x2 t^2 + x1 t + x0, for x = x2 2^(2k) + x1 2^k + x0 >= 0, at t = 0, 1,
+    -1, -2 and infinity."""
+    mask = (1 << k) - 1
+    x0, x1, x2 = x & mask, (x >> k) & mask, x >> 2 * k
+    t = x0 + x2
+    return x0, t + x1, t - x1, ((t - x1 + x2) << 1) - x0, x2
 
 
 def lucas_uv(params: LucasParams, n: int) -> SeqTerm:
@@ -344,13 +306,13 @@ def lucas_uv(params: LucasParams, n: int) -> SeqTerm:
     Step:     U_{k+1} = (p U_k + V_k)/2, V_{k+1} = (D U_k + p V_k)/2,
     where both numerators are even because V_k = p U_k (mod 2).
 
-    From _TOOM_CUTOFF bits of V_k on, and when 0 < |D| < 2^64, the doubling
-    takes two squares instead of a product and a square, so that both go to
-    the Toom-3 kernel _square: with s = V_k^2, U_k^2 = (s - 4 q^k)/D exactly
-    (from V_k^2 - D U_k^2 = 4 q^k), U_{2k} = ((U_k + V_k)^2 - s - U_k^2)/2
-    and V_{2k} = s - 2 q^k.  For D = 0 there is nothing to divide by; below
-    the cutoff, or for a larger D, the product is the cheaper step, and from
-    the cutoff on it goes to _mul and the square to _square.
+    Below _FFT_LO bits of V_k the doubling multiplies plainly.  From _FFT_LO
+    on, and when 0 < |D| < 2^64, it takes two squares instead of a product
+    and a square, since _mul squares with one forward transform where a
+    product needs two: with s = V_k^2, U_k^2 = (s - 4 q^k)/D exactly (from
+    V_k^2 - D U_k^2 = 4 q^k), U_{2k} = ((U_k + V_k)^2 - s - U_k^2)/2 and
+    V_{2k} = s - 2 q^k.  For D = 0 there is nothing to divide by, and for a
+    larger D the product is the cheaper step; both go to _mul.
     """
     if n < 0:
         raise ValueError("index must be non-negative")
@@ -362,14 +324,15 @@ def lucas_uv(params: LucasParams, n: int) -> SeqTerm:
     two_squares = 0 < abs(d) < 1 << 64
     u, v, qk = 0, 2, 1
     for bit in bin(n)[2:] if n else "":
-        if v.bit_length() < _TOOM_CUTOFF:
+        if v.bit_length() < _FFT_LO:
             u, v = u * v, v * v - 2 * qk
         elif two_squares:
-            s = _square(v)
-            u = (_square(u + v) - s - (s - 4 * qk) // d) >> 1
+            s = _mul(v, v)
+            w = u + v
+            u = (_mul(w, w) - s - (s - 4 * qk) // d) >> 1
             v = s - 2 * qk
         else:
-            u, v = _mul(u, v), _square(v) - 2 * qk
+            u, v = _mul(u, v), _mul(v, v) - 2 * qk
         qk *= qk
         if bit == "1":
             u, v = (p * u + v) // 2, (d * u + p * v) // 2

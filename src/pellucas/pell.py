@@ -27,8 +27,8 @@ from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import InvariantError
-from .lucas import (_CHECK_MODULUS, _TOOM_CUTOFF, LucasParams, SeqTerm,
-                    _mod_m61, _square, lucas_uv, mat2_product)
+from .lucas import (_CHECK_MODULUS, _FFT_LO, LucasParams, SeqTerm, _mod_m61,
+                    _mul, lucas_uv, mat2_product)
 
 # Partial quotients collapsed into one small-integer leaf of the product tree.
 _LEAF = 16
@@ -64,9 +64,9 @@ class PellSolution:
 
     def check(self, d: int) -> bool:
         u, v = self.u, self.v
-        if u.bit_length() < _TOOM_CUTOFF:
+        if u.bit_length() < _FFT_LO:
             return u * u - d * v * v == self.sign
-        return _square(u) - d * _square(v) == self.sign
+        return _mul(u, u) - d * _mul(v, v) == self.sign
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _fundamental_unit(d: int, b: int, half: list[int],
     """
     e, f, g, h = _convergent_matrix(half)
     if middle is None:
-        v, w, norm = _square(e) + _square(f), e * g + f * h, -4
+        v, w, norm = _mul(e, e) + _mul(f, f), e * g + f * h, -4
     else:
         x = middle * e + f
         v, w, norm = e * (x + f), x * g + e * h, 4
@@ -202,7 +202,7 @@ def fundamental_solution(problem: PellProblem) -> Optional[PellSolution]:
         # The unit of norm -1 squares to the +4 one, ((u^2 + d v^2)/2, u v),
         # and d v^2 = u^2 + 4.
         u, v = minus.u, minus.v
-        plus = PellSolution(_square(u) + 2, u * v, 4)
+        plus = PellSolution(_mul(u, u) + 2, u * v, 4)
     _last = (d, plus, minus)
     return plus if sign == 4 else minus
 

@@ -329,7 +329,7 @@ def test_10_cli_contract(capsys, monkeypatch):
         (["lucas", "--p", "1", "--q", "-1", "--n", "10"],
          {"u": ["55"], "v": ["123"]}),
         (["pell", "--d", "5", "--count", "2"],
-         {"fundamental": {"u": "3", "v": "1"}, "solvable": True,
+         {"solvable": True,
           "solutions": [{"u": "3", "v": "1"}, {"u": "7", "v": "3"}]}),
         (["member", "--value", "8", "--a", "1"],
          {"is_member": True, "index": "6", "parity": "even",

@@ -57,9 +57,10 @@ def test_lucas_range(capsys):
 def test_pell_golden(capsys):
     code, doc, _ = run_json(capsys, "pell", "--d", "5", "--count", "2")
     assert code == 0
-    assert doc["result"]["fundamental"] == {"u": "3", "v": "1"}
-    assert doc["result"]["solutions"] == [{"u": "3", "v": "1"},
-                                          {"u": "7", "v": "3"}]
+    # The unit is printed once, as the first solution.
+    assert doc["result"] == {"solvable": True,
+                             "solutions": [{"u": "3", "v": "1"},
+                                           {"u": "7", "v": "3"}]}
 
 
 def test_pell_square_d(capsys):
@@ -98,7 +99,9 @@ def test_pell_builds_the_unit_once(capsys, monkeypatch, d, sign, solvable):
     assert code == 0 and doc["result"]["solvable"] is solvable
     assert calls == [pell.PellProblem(d, sign)]
     if solvable:
-        assert doc["result"]["solutions"][0] == doc["result"]["fundamental"]
+        fund = pell.fundamental_solution(pell.PellProblem(d, sign))
+        assert doc["result"]["solutions"][0] == {"u": str(fund.u),
+                                                 "v": str(fund.v)}
 
 
 def test_member_golden(capsys):
@@ -475,7 +478,7 @@ def test_big_values_cross_the_cli_boundary():
     with _no_digit_limit():
         out = _pellucas("pell", "--d", "999999937", "--format", "structured")
         assert out.returncode == 0, out.stderr
-        fund = json.loads(out.stdout)["result"]["fundamental"]
+        fund = json.loads(out.stdout)["result"]["solutions"][0]
         want = pell.fundamental_solution(pell.PellProblem(999999937, 4))
         assert (int(fund["u"]), int(fund["v"])) == (want.u, want.v)
         assert want.v.bit_length() > 14300  # past 4300 digits

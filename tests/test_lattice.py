@@ -12,6 +12,8 @@ from pellucas.lucas import Mat2, is_square
 from pellucas.oracle import _disc_cosets, disc_action_direct
 from pellucas.pell import PellProblem, PellSolution, fundamental_solution
 
+from matpow import IDENTITY
+
 rng = random.Random(20250823)
 
 
@@ -42,7 +44,7 @@ def test_isometry_from_pell_examples():
     assert act.g == Mat2(0, -1, 1, 4)
     assert act.trace == 4 and act.det == 1
     ident = isometry_from_pell(make_lattice(1, 4, 1), PellSolution(2, 0, 4))
-    assert ident.g == Mat2.identity()
+    assert ident.g == IDENTITY
     act = isometry_from_pell(make_lattice(1, 1, -1), PellSolution(3, 1, 4))
     assert act.g == Mat2(1, 1, 1, 2)
 
@@ -52,9 +54,22 @@ def test_wrong_sign_rejected():
         isometry_from_pell(make_lattice(1, 1, -1), PellSolution(1, 1, -4))
 
 
+@pytest.mark.parametrize("abc, uv", [
+    ((1, 0, 1), (0, 1)),      # [[2, 0], [0, 2]]
+    ((-1, 1, -1), (1, 1)),    # negative definite
+])
+def test_definite_lattice_rejected(abc, uv):
+    # (u, v) solves u^2 - d v^2 = 4 for d = -4 and d = -3, but a definite
+    # lattice has no positive cone in two components to preserve.
+    lattice = make_lattice(*abc)
+    assert PellSolution(*uv, 4).check(lattice.pell_d)
+    with pytest.raises(ValueError, match="signature"):
+        isometry_from_pell(lattice, PellSolution(*uv, 4))
+
+
 def test_disc_group_action_basics():
     lat = make_lattice(1, 4, 1)
-    assert disc_group_action(lat, Mat2.identity()) == "+id"
+    assert disc_group_action(lat, IDENTITY) == "+id"
     assert disc_group_action(lat, Mat2(-1, 0, 0, -1)) == "-id"
     g = Mat2(0, -1, 1, 4)
     assert disc_group_action(lat, g @ g) == "+id"

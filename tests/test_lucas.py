@@ -8,15 +8,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pellucas import lucas, pell
 from pellucas.errors import InvariantError
 from pellucas.k3 import (case_a_lattice, case_b_lattice, classify_case_a,
                          classify_case_b)
 from pellucas.lattice import isometry_det
-from pellucas.lucas import (_FFT_HI, _FFT_LO, _TOOM_CUTOFF, LucasParams, Mat2,
-                            _fft_mul, _mul, _square, companion_power,
-                            gen_fib_a, gen_fib_b, lucas_uv, m_matrix,
-                            n_matrix)
+from pellucas.lucas import (_FFT_HI, _FFT_LO, LucasParams, Mat2, _fft_mul,
+                            _mul, companion_power, gen_fib_a, gen_fib_b,
+                            lucas_uv, m_matrix, n_matrix)
 from pellucas.oracle import naive_lucas
+
+from matpow import IDENTITY, mat_pow
 
 
 def test_initial_terms():
@@ -70,7 +72,7 @@ def test_companion_power_examples():
 @given(st.integers(1, 9), st.integers(1, 60))
 @settings(max_examples=40)
 def test_companion_power_matches_repeated_multiplication(a, n):
-    direct = Mat2.identity()
+    direct = IDENTITY
     for _ in range(n):
         direct = direct @ m_matrix(a)
     assert companion_power("M", a, n) == direct
@@ -82,7 +84,7 @@ def test_companion_power_matches_repeated_multiplication(a, n):
 @given(st.integers(4, 12), st.integers(1, 60))
 @settings(max_examples=40)
 def test_n_matrix_power_structure(b, n):
-    direct = Mat2.identity()
+    direct = IDENTITY
     for _ in range(n):
         direct = direct @ n_matrix(b)
     assert companion_power("N", b, n) == direct
@@ -131,14 +133,14 @@ def test_identity_b_determinant_holds_at_n1():
 @given(st.integers(1, 8), st.integers(1, 200))
 @settings(max_examples=40)
 def test_trace_identity_m(a, n):
-    lhs = (m_matrix(a) ** (2 * n)).trace
+    lhs = mat_pow(m_matrix(a), 2 * n).trace
     assert lhs == (a * a + 4) * gen_fib_a(a, n) ** 2 + (-1) ** n * 2
 
 
 @given(st.integers(4, 10), st.integers(1, 200))
 @settings(max_examples=40)
 def test_trace_identity_n(b, n):
-    lhs = (n_matrix(b) ** (2 * n)).trace
+    lhs = mat_pow(n_matrix(b), 2 * n).trace
     assert lhs == (b * b - 4) * gen_fib_b(b, n) ** 2 + 2
 
 
@@ -159,10 +161,10 @@ def test_degenerate_params_still_evaluate():
 def test_companion_power_matches_square_and_multiply_at_bigint_size(kind, value, n):
     # The power read off lucas_uv against Mat2 square-and-multiply.
     base = m_matrix(value) if kind == "M" else n_matrix(value)
-    assert companion_power(kind, value, n) == base ** n
+    assert companion_power(kind, value, n) == mat_pow(base, n)
 
 
-# --- Toom-3 squaring kernel and the two-square doubling step ------------------
+# --- Squares through _mul, and the two-square doubling step -------------------
 
 def _shaped(bits, seed, shape):
     """A non-negative integer of exactly `bits` bits with the given shape."""
@@ -178,7 +180,7 @@ def _shaped(bits, seed, shape):
 _SHAPES = ("random", "ones", "power")
 
 
-@given(st.one_of(st.integers(0, 4 * _TOOM_CUTOFF), st.integers(0, 2 * 10 ** 6 + 1)),
+@given(st.one_of(st.integers(0, 4 * _FFT_LO), st.integers(0, 2 * 10 ** 6 + 1)),
        st.integers(0, 2 ** 32), st.sampled_from(_SHAPES), st.booleans())
 @example(2 * 10 ** 6 + 1, 0, "power", False)  # 2^(2*10^6) itself
 @example(2 * 10 ** 6, 1, "random", True)
@@ -187,23 +189,23 @@ _SHAPES = ("random", "ones", "power")
 def test_square_matches_product(bits, seed, shape, negative):
     x = _shaped(bits, seed, shape)
     x = -x if negative else x
-    assert _square(x) == x * x
+    assert _mul(x, x) == x * x
 
 
 @pytest.mark.parametrize("shape", _SHAPES)
 @pytest.mark.parametrize("offset", range(-3, 4))
 def test_square_at_the_cutoff(offset, shape):
-    # Both sides of the cutoff, and every residue of the bit length mod 3
-    # (it sets the size of the top limb).
+    # Both sides of the switch from plain squares to the FFT kernel.
     for seed in range(3):
-        x = _shaped(_TOOM_CUTOFF + offset, seed, shape)
-        assert _square(x) == x * x
-        assert _square(-x) == x * x
+        x = _shaped(_FFT_LO + offset, seed, shape)
+        y = -x
+        assert _mul(x, x) == x * x
+        assert _mul(y, y) == x * x
 
 
 def _matrix_uv(params, n):
     """(U_n, V_n) from [[p, -q], [1, 0]]^n = [[U_{n+1}, -q U_n], [U_n, ...]]."""
-    m = Mat2(params.p, -params.q, 1, 0) ** n
+    m = mat_pow(Mat2(params.p, -params.q, 1, 0), n)
     return m.e10, 2 * m.e00 - params.p * m.e10
 
 
@@ -223,8 +225,9 @@ def test_lucas_uv_in_squaring_regime_matches_matrix_power(p, q, n):
     t = lucas_uv(params, n)
     assert (t.u, t.v) == _matrix_uv(params, n)
     if params.discriminant:
-        # V_n doubled from half its size, so the last steps were squarings.
-        assert t.v.bit_length() >= 4 * _TOOM_CUTOFF
+        # V_n doubled from half its size, so the last steps took the
+        # two-square (or, for a large D, the product) step through _mul.
+        assert t.v.bit_length() >= 2 * _FFT_LO
 
 
 @given(st.integers(20, 40), st.integers(-9, 9).filter(bool),
@@ -233,7 +236,7 @@ def test_lucas_uv_in_squaring_regime_matches_matrix_power(p, q, n):
 def test_lucas_uv_squaring_regime_property(p, q, n):
     params = LucasParams(p, q)
     t = lucas_uv(params, n)
-    assert t.v.bit_length() >= 4 * _TOOM_CUTOFF
+    assert t.v.bit_length() >= 2 * _FFT_LO
     assert (t.u, t.v) == _matrix_uv(params, n)
 
 
@@ -243,14 +246,14 @@ def test_lucas_uv_squaring_regime_property(p, q, n):
                      lambda edge: st.integers(edge - 3, edge + 3)),
                  st.integers(_FFT_HI, 2 * _FFT_HI)),
        st.integers(0, 2 ** 32), st.sampled_from(_SHAPES), st.booleans())
-@example(_FFT_LO - 1, 0, "ones", False)   # the last Toom-3 size below the kernel
-@example(_FFT_HI + 1, 0, "ones", True)    # Toom-3 above the cap
+@example(_FFT_LO - 1, 0, "ones", False)   # the last plain square
+@example(_FFT_HI + 1, 0, "ones", True)    # a Toom-3 step above the cap
 @example(2 * 10 ** 6, 5, "random", True)  # one Toom-3 step, then FFT squares
 @settings(max_examples=8, deadline=None)
 def test_square_at_the_fft_bounds(bits, seed, shape, negative):
     x = _shaped(bits, seed, shape)
     x = -x if negative else x
-    assert _square(x) == x * x
+    assert _mul(x, x) == x * x
 
 
 def test_fft_square_of_all_ff_bytes_at_the_cap():
@@ -258,7 +261,7 @@ def test_fft_square_of_all_ff_bytes_at_the_cap():
     # coefficient as large as the cap allows: the middle one is about
     # 83 334 * 4095^2, past 2^40.
     x = (1 << _FFT_HI) - 1
-    assert _square(x) == x * x
+    assert _mul(x, x) == x * x
 
 
 def _sparse(bits, seed):
@@ -266,9 +269,11 @@ def _sparse(bits, seed):
     return 1 << (bits - 1) | random.Random(seed).getrandbits(1000)
 
 
-# Both sides of _FFT_LO and _FFT_HI, and digit counts of both parities:
-# 12 * 3333 bits are an odd count of 12-bit digits, 12 * 3334 an even one.
-_KERNEL_BITS = (_FFT_LO - 1, _FFT_LO + 1, 12 * 3333, 12 * 3334,
+# _fft_mul itself has no lower bound (_mul calls it from _FFT_LO bits on).
+# Partial top digits near 40 000 bits, digit counts of both parities (12 *
+# 3333 bits are an odd count of 12-bit digits, 12 * 3334 an even one), and
+# both sides of _FFT_HI.
+_KERNEL_BITS = (39_999, 40_001, 12 * 3333, 12 * 3334,
                 _FFT_HI - 1, _FFT_HI + 1, 12 * 83_333)
 
 
@@ -306,14 +311,51 @@ def test_fft_mul_of_unequal_lengths(bits_x, bits_y):
 
 @pytest.mark.parametrize("bits_x, bits_y", [
     (_FFT_LO - 1, _FFT_HI),        # a short factor: plain *
-    (_FFT_HI + 7, _FFT_HI),        # past the cap: the longer factor is cut
-    (3 * _FFT_HI, _FFT_LO + 3),    # cut twice
+    (_FFT_HI + 7, _FFT_HI),        # balanced, past the cap: one Toom-3 step
+    (3 * _FFT_HI, _FFT_LO + 3),    # y lies in the low piece of x's split
 ])
 def test_mul_matches_plain_multiplication(bits_x, bits_y):
     x, y = _shaped(bits_x, 4, "random"), -_shaped(bits_y, 5, "random")
     xy = x * y
     assert _mul(x, y) == xy
     assert _mul(y, x) == xy
+
+
+def test_mul_past_the_cap_with_zero_pieces():
+    # A zero factor, and a power of two whose low two pieces are zero, so
+    # that the Toom-3 step multiplies a zero piece at t = 0.
+    x, y = _shaped(_FFT_HI + 7, 0, "power"), _shaped(_FFT_HI, 6, "random")
+    assert _mul(x, 0) == _mul(0, -x) == 0
+    assert _mul(x, -y) == -(x * y)
+    assert _mul(y, x) == y * x
+
+
+def _spy_fft_mul(monkeypatch):
+    """Record, for each _fft_mul call, whether it was a square (x is y)."""
+    calls = []
+    true_fft_mul = lucas._fft_mul
+
+    def spy(x, y):
+        calls.append(x is y)
+        return true_fft_mul(x, y)
+
+    monkeypatch.setattr(lucas, "_fft_mul", spy)
+    return calls
+
+
+def test_squares_reach_the_fft_kernel_as_squares(monkeypatch):
+    # A square takes one forward transform only when its operands are one
+    # object; an equal copy would pay for two.
+    calls = _spy_fft_mul(monkeypatch)
+    d = 10_000_000_537                      # odd period; 75 kbit halves
+    x = _shaped(3 * _FFT_HI, 7, "random")
+    for stage in (lambda: _mul(x, x),       # Toom-3 steps past the cap
+                  lambda: lucas_uv(LucasParams(1, -1), 10 ** 5),
+                  lambda: pell._fundamental_unit(d, *pell._half_period(d))):
+        before = len(calls)
+        stage()
+        assert len(calls) > before
+    assert all(calls)
 
 
 def _uv_mod(params, n, prime):
@@ -363,7 +405,7 @@ def test_fft_guards_raise(monkeypatch, delta, guard):
     _patch_irfft(monkeypatch, delta)
     x = _shaped(2 * _FFT_LO, 1, "random")
     with pytest.raises(InvariantError, match=guard):
-        _square(x)
+        _mul(x, x)
 
 
 @pytest.mark.parametrize("delta, guard", [(0.5, "away from an integer"),
@@ -380,7 +422,7 @@ def test_fft_guards_raise_under_python_O():
     code = """
 import numpy as np
 from pellucas.errors import InvariantError
-from pellucas.lucas import _FFT_LO, _mul, _square
+from pellucas.lucas import _FFT_LO, _mul
 true_irfft = np.fft.irfft
 x = (1 << 2 * _FFT_LO) - 12345
 for delta in (0.5, 1.0):
@@ -389,7 +431,7 @@ for delta in (0.5, 1.0):
         out[0] += delta
         return out
     np.fft.irfft = wrong_irfft
-    for call in (lambda: _square(x), lambda: _mul(x, x + 1)):
+    for call in (lambda: _mul(x, x), lambda: _mul(x, x + 1)):
         try:
             call()
         except InvariantError:

@@ -49,7 +49,7 @@ def loaded_by(code: str) -> set[str]:
 
 
 def test_cli_import_does_not_load_numpy():
-    # Only the FFT kernel of lucas._square and the enumeration oracles import
+    # Only the FFT kernel of lucas._mul and the enumeration oracles import
     # numpy; a small CLI call and a 7 kbit lucas_uv stay below both.
     code = ("import sys, pellucas, pellucas.cli\n"
             "pellucas.cli.build_parser()\n"

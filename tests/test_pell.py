@@ -18,6 +18,8 @@ from pellucas.pell import (PellProblem, PellSolution, fundamental_solution,
                            is_gen_fib_a, is_gen_fib_b, isqrt_exact,
                            solutions_iter)
 
+from matpow import mat_pow
+
 
 def _compose(d, s1, s2):
     """Reference: the product of (u1 + v1 sqrt(d))/2 and (u2 + v2 sqrt(d))/2,
@@ -136,7 +138,7 @@ def test_membership_matches_naive_a(n, a):
 def test_membership_index_in_bigint_regime(a, b, k):
     # U_k is the corner and V_k the trace of the k-th companion power, by
     # Mat2 square-and-multiply: a reference independent of lucas_uv.
-    m, n = m_matrix(a) ** k, n_matrix(b) ** k
+    m, n = mat_pow(m_matrix(a), k), mat_pow(n_matrix(b), k)
     parity = "odd" if k % 2 else "even"
     assert astuple(is_gen_fib_a(m.e01, a)) == (True, k, parity, m.trace)
     assert astuple(is_gen_fib_b(n.e01, b)) == (True, k, None, n.trace)
@@ -365,7 +367,7 @@ def test_a_table_row_walks_once(cold_memo, monkeypatch, d):
     # +4, -4 and the solutions of each: one walk; a repeated +4 on an odd
     # period does not square the -4 unit again.
     walks = _counting(monkeypatch, "_half_period")
-    squares = _counting(monkeypatch, "_square")
+    squares = _counting(monkeypatch, "_mul")
     fundamental_solution(PellProblem(d, 4))
     squared = len(squares)
     fundamental_solution(PellProblem(d, -4))
