@@ -231,17 +231,15 @@ def cmd_pell(args, rec: Record) -> int:
         raise ValueError("count must be >= 1")
     problem = pell.PellProblem(args.d, args.sign)
     fund = pell.fundamental_solution(problem)
-    if fund is None:
-        rec.result["solvable"] = False
-        if args.require_solution:
-            return EXIT_UNSOLVABLE
-        return EXIT_OK
-    rec.result["solvable"] = True
-    sols = list(islice(pell._solutions_from(problem, fund), args.count))
-    rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
+    rec.result["solvable"] = fund is not None
+    sols = []
+    if fund is not None:
+        sols = list(islice(pell._solutions_from(problem, fund), args.count))
+        rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
         from . import oracle
-        bound = min(max(s.v for s in sols), args.bound)
+        # An unsolvable equation is searched up to --bound for a solution.
+        bound = min(max((s.v for s in sols), default=args.bound), args.bound)
         expect = [(s.u, s.v) for s in
                   oracle.enumerate_pell(args.d, args.sign, bound)]
         if args.sign == 4 and (2, 0) in expect:
@@ -249,6 +247,8 @@ def cmd_pell(args, rec: Record) -> int:
         got = [(s.u, s.v) for s in sols if s.v <= bound]
         rec.verify = {"oracle": "enumerate_pell", "agrees": got == expect,
                       "expected": expect, "bound": bound}
+    if fund is None and args.require_solution:
+        return EXIT_UNSOLVABLE
     return EXIT_OK
 
 

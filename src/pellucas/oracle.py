@@ -27,11 +27,21 @@ from .pell import (MembershipVerdict, PellProblem, PellSolution,
 INT64_MAX = 2 ** 63 - 1
 # Square sieve moduli (Cohen, GTM 138, Alg. 1.7.3), pairwise coprime.
 WHEEL_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
-WHEEL_CHUNK = 1 << 16
+# Rows per numpy chunk.  Each chunk makes a few int64 temporaries of its
+# length; at 2^14 rows (128 KB each) the heap hands back the memory the last
+# chunk freed, where longer ones are mapped and faulted in afresh.  One
+# oracle_enum pass of bench/workloads.py (seed 1, best of 7 per call, the
+# cost below; 2-core Xeon VM), in ms over three rounds:
+#   rows  2^13            2^14            2^15            2^16
+#   ms    43.8/43.7/44.3  41.1/40.9/41.3  49.6/45.6/48.0  59.4/58.0/61.0
+WHEEL_CHUNK = 1 << 14
 # Rows a residue of the wheel must save to be worth building: building the
-# residue list (Garner steps and a sort) costs about this many scanned rows
-# per residue.
-WHEEL_RESIDUE_COST = 2
+# residue list (Garner steps by table lookup, and a sort) costs about this
+# many scanned rows per residue.  Warm, a residue cost 1.2-1.9 scanned rows
+# (median 1.5 over 16 wheels); a list built once per call also faults in
+# its pages.  Over costs 1, 1.5, 2, 3 and 4 the same pass was fastest at 3
+# on seeds 1-3.
+WHEEL_RESIDUE_COST = 3
 # The squares modulo each wheel modulus; they do not depend on the input.
 _SQUARES = {m: frozenset(x * x % m for x in range(m)) for m in WHEEL_MODULI}
 
@@ -51,9 +61,10 @@ def naive_lucas(params: LucasParams, n: int) -> SeqTerm:
 
 def _wheel(d: int, sign: int, lo: int, hi: int,
            other: Optional[tuple[int, int]] = None) -> Iterator[np.ndarray]:
-    """Ascending int64 chunks (at most 2^16 long) of the w in [lo, hi] for
-    which d*w^2 + sign is a square modulo every wheel modulus and, given
-    other = (d2, sign2), d*w^2 + sign - sign2 is d2 times a square modulo it.
+    """Non-empty ascending int64 chunks (at most WHEEL_CHUNK long) of the w
+    in [lo, hi] for which d*w^2 + sign is a square modulo every wheel modulus
+    and, given other = (d2, sign2), d*w^2 + sign - sign2 is d2 times a square
+    modulo it.
 
     A square stays a square mod m, so no w with d*w^2 + sign a perfect square
     is dropped (Cohen, GTM 138, Alg. 1.7.3); nor, with a second equation
@@ -67,8 +78,9 @@ def _wheel(d: int, sign: int, lo: int, hi: int,
     WHEEL_RESIDUE_COST times the residues it would build, or once the wheel
     would outgrow [lo, hi].
     A chunk is whole wheel turns, turn start + residue by broadcasting, or a
-    slice of one turn when a turn keeps more than 2^16 residues; only the
-    first and the last turn are trimmed to [lo, hi].
+    slice of one turn when a turn keeps more than WHEEL_CHUNK residues; only
+    the first and the last turn are trimmed to [lo, hi], and a chunk that
+    trimming empties is skipped.
     """
     import numpy as np
     rows = hi - lo + 1
@@ -91,10 +103,12 @@ def _wheel(d: int, sign: int, lo: int, hi: int,
         if rows * (m - len(keep)) < WHEEL_RESIDUE_COST * wheel * m * len(keep):
             break
         # Garner's step: r + wheel*((a - r) * wheel^-1 mod m) is r mod wheel
-        # and a mod m, and never exceeds wheel*m.
-        lift = ((np.array(keep, dtype=np.int64)[None, :]
-                 - residues[:, None] % m) * pow(wheel, -1, m)) % m
-        residues = np.sort((residues[:, None] + wheel * lift).ravel())
+        # and a mod m, and never exceeds wheel*m.  It depends on r only
+        # through rho = r mod m, so row rho of the table holds it for each a.
+        rho = np.arange(m, dtype=np.int64)[:, None]
+        step = ((np.array(keep, dtype=np.int64) - rho) * pow(wheel, -1, m)
+                % m * wheel)
+        residues = np.sort((residues[:, None] + step[residues % m]).ravel())
         wheel *= m
     count = len(residues)
     per_chunk = max(1, WHEEL_CHUNK // count)
@@ -108,6 +122,8 @@ def _wheel(d: int, sign: int, lo: int, hi: int,
             w = (turns[:, None] + part).ravel()
             if w[0] < lo or w[-1] > hi:
                 w = w[np.searchsorted(w, lo):np.searchsorted(w, hi, "right")]
+                if not len(w):
+                    continue
             yield w
 
 
@@ -281,7 +297,12 @@ def disc_action_direct(lattice, g) -> str:
     into the lattice, i.e. both coordinates of (g - eps*id)(X, Y) are
     divisible by |det|.
     """
-    order, cosets = _disc_cosets(lattice)
+    return _coset_action(*_disc_cosets(lattice), g)
+
+
+def _coset_action(order: int, cosets: list[tuple[int, int]], g) -> str:
+    """``disc_action_direct`` given ``_disc_cosets`` of the lattice, so that
+    a caller checking several g builds the cosets once."""
     for eps, tag in ((1, "+id"), (-1, "-id")):
         a, b, c, d = g.e00 - eps, g.e01, g.e10, g.e11 - eps
         if all((a * x + b * y) % order == 0 and (c * x + d * y) % order == 0

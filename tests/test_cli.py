@@ -334,6 +334,7 @@ def test_env_values_convert_like_flags(capsys, monkeypatch):
 def test_verify_agreement_for_each_subcommand(capsys):
     for argv in (["lucas", "--p", "2", "--q", "-1", "--n", "30"],
                  ["pell", "--d", "13", "--count", "3"],
+                 ["pell", "--d", "21", "--sign=-4"],
                  ["member", "--value", "29", "--a", "2"],
                  ["lattice", "--a", "1", "--b", "5", "--c", "1"],
                  ["k3", "--b", "5", "--n", "2"],
@@ -341,7 +342,7 @@ def test_verify_agreement_for_each_subcommand(capsys):
                   "--count", "3"]):
         code, doc, err = run_json(capsys, *argv, "--verify")
         assert code == 0, (argv, err)
-        assert doc["verify"] is None or doc["verify"]["agrees"] is True, argv
+        assert doc["verify"]["agrees"] is True, argv
 
 
 def test_lattice_verify_certifies_root_outside_box(capsys):

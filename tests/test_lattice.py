@@ -9,7 +9,7 @@ from pellucas.lattice import (Lattice2, _disc_action, disc_group_action,
                               find_roots, isometry_det, isometry_from_pell,
                               make_lattice, so_plus_generator)
 from pellucas.lucas import Mat2, is_square
-from pellucas.oracle import _disc_cosets, disc_action_direct
+from pellucas.oracle import _coset_action, _disc_cosets, disc_action_direct
 from pellucas.pell import PellProblem, PellSolution, fundamental_solution
 
 from matpow import IDENTITY
@@ -89,12 +89,13 @@ def test_disc_group_action_matches_direct_enumeration():
                 if d <= 0 or is_square(d):
                     continue
                 lat = make_lattice(a, b, c)
+                cosets = _disc_cosets(lat)
                 g = so_plus_generator(lat).g
                 g2 = g @ g
                 for h in (g, g2, g2 @ g):
                     for m in (h, minus_id @ h):
                         assert disc_group_action(lat, m) == \
-                            disc_action_direct(lat, m), (a, b, c, m)
+                            _coset_action(*cosets, m), (a, b, c, m)
                 checked += 1
     assert checked == 7296
     lat = make_lattice(-12, -8, 12)

@@ -243,22 +243,30 @@ def test_negative_rows_raise_no_warning():
 def _modular_survivors(d, sign, lo, hi, top):
     """Reference: the w in [lo, top] that _wheel keeps over [lo, hi], by
     testing each w against the moduli that a wheel over [lo, hi] uses."""
-    w = np.arange(lo, top + 1, dtype=np.int64)
-    keep = np.ones(len(w), dtype=bool)
-    wheel, rows = 1, hi - lo + 1
+    tests, wheel, rows = [], 1, hi - lo + 1
     for m in WHEEL_MODULI:
         if wheel * m > rows:
             break
         squares = np.zeros(m, dtype=bool)
         squares[[x * x % m for x in range(m)]] = True
         kept = int(squares[[(d * a * a + sign) % m for a in range(m)]].sum())
+        if kept == 0:
+            return []
         if kept == m:
             continue
         if rows * (m - kept) < WHEEL_RESIDUE_COST * wheel * m * kept:
             break
-        keep &= squares[(d * (w % m) ** 2 + sign) % m]
+        tests.append((m, squares))
         wheel *= m
-    return w[keep].tolist()
+    out = []
+    # In blocks of 2^20 rows, so a sparse wheel needs no window-sized array.
+    for start in range(lo, top + 1, 1 << 20):
+        w = np.arange(start, min(start + (1 << 20), top + 1), dtype=np.int64)
+        keep = np.ones(len(w), dtype=bool)
+        for m, squares in tests:
+            keep &= squares[(d * (w % m) ** 2 + sign) % m]
+        out += w[keep].tolist()
+    return out
 
 
 def test_wheel_splits_turns_longer_than_a_chunk():
@@ -277,6 +285,30 @@ def test_wheel_splits_turns_longer_than_a_chunk():
     # Contiguous: together the chunks are every survivor up to the last one.
     seen = [w for values in chunks for w in values]
     assert seen == _modular_survivors(8, 4, lo, hi, seen[-1])
+
+
+@given(d=st.integers(1, 10 ** 9), sign=st.sampled_from((4, -4, 1, -1)),
+       lo=st.integers(0, 10 ** 9),
+       width=st.one_of(st.integers(0, 10 ** 4), st.integers(10 ** 6, 10 ** 8)))
+@settings(max_examples=30, deadline=None)
+@example(d=8, sign=4, lo=2_000_000, width=33_355_339)
+def test_wheel_chunks_over_random_windows(d, sign, lo, width):
+    # Non-empty chunks of at most WHEEL_CHUNK rows, ascending and disjoint,
+    # that together hold every survivor up to the last row consumed; the
+    # scan stops once more than one chunk's worth has been seen.  In the
+    # example a turn is 2882880 rows long and keeps 70560 residues, in
+    # slices; lo falls past the first slice of the first turn, so trimming
+    # empties it.
+    hi, seen, done = lo + width, [], True
+    for chunk in _wheel(d, sign, lo, hi):
+        values = chunk.tolist()
+        assert 0 < len(values) <= WHEEL_CHUNK
+        seen += values
+        if len(seen) > WHEEL_CHUNK:
+            done = False
+            break
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+    assert seen == _modular_survivors(d, sign, lo, hi, hi if done else seen[-1])
 
 
 # --- discriminant group -------------------------------------------------------
