@@ -237,14 +237,22 @@ def cmd_pell(args, rec: Record) -> int:
         sols = list(islice(pell._solutions_from(problem, fund), args.count))
         rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
+        from math import isqrt
         from . import oracle
         # An unsolvable equation is searched up to --bound for a solution.
         bound = min(max((s.v for s in sols), default=args.bound), args.bound)
+        # No further than the largest v that the oracle's int64 guard takes:
+        # it needs d*v^2 + max(sign, 0) < isqrt(INT64_MAX)^2.
+        root = isqrt(oracle.INT64_MAX)
+        bound = min(bound, isqrt((root * root - 1 - max(args.sign, 0))
+                                 // args.d))
         expect = [(s.u, s.v) for s in
                   oracle.enumerate_pell(args.d, args.sign, bound)]
-        if args.sign == 4 and (2, 0) in expect:
-            expect.remove((2, 0))
         got = [(s.u, s.v) for s in sols if s.v <= bound]
+        # The trivial (2, 0) is a solution only the oracle lists, unless d is
+        # a square: then it is the fast path's fundamental one.
+        if (2, 0) in expect and (2, 0) not in got:
+            expect.remove((2, 0))
         rec.verify = {"oracle": "enumerate_pell", "agrees": got == expect,
                       "expected": expect, "bound": bound}
     if fund is None and args.require_solution:

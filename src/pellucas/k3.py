@@ -8,9 +8,7 @@ action on the 2-form.  No geometry is materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-from math import gcd, isqrt, prod
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
@@ -32,9 +30,9 @@ def rank_of_apparition(m: int, a: int) -> int:
     """
     if m < 2 or a < 1:
         raise ValueError("need m >= 2 and a >= 1")
-    prev, cur = 0, 1
+    prev, cur = 0, 1  # cur < m throughout, as m >= 2
     for n in range(1, m * m + 3):
-        if cur % m == 0:
+        if cur == 0:
             return n
         prev, cur = cur, (a * cur + prev) % m
     raise SearchCapExceeded("apparition search exceeded its pigeonhole cap")
@@ -69,7 +67,9 @@ class K3CaseB:
     n: int
     action: IsometryAction
 
-    symplectic: bool = True
+    @property
+    def symplectic(self) -> bool:
+        return True
 
 
 def classify_case_a(m: int, a: int) -> K3CaseA:
@@ -123,49 +123,13 @@ class CorrespondenceRecord:
     pell_sign: int              # +4 or -4
     trace: int                  # trace of the lattice action
     omega_sign: int             # +1 symplectic, -1 anti-symplectic
-    m: Optional[int] = None     # a-flavor only: chosen divisor of the term
+    m: Optional[int] = None     # a-flavor only: the term itself, or None
+                                # when it is 1 (no m >= 2 divides it)
 
     @property
     def pell_d(self) -> int:
         p = self.param
         return p * p + 4 if self.flavor == "a" else p * p - 4
-
-
-_TRIAL_DIVISION_BOUND = 10 ** 4
-
-
-@cache
-def _small_primes() -> tuple[tuple[int, ...], int]:
-    """The primes below the trial-division bound and their product.
-
-    Built on first use, so importing the module stays cheap.
-    """
-    bound = _TRIAL_DIVISION_BOUND
-    sieve = bytearray([1]) * bound
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(bound - 1) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
-    primes = tuple(i for i in range(bound) if sieve[i])
-    return primes, prod(primes)
-
-
-def _smallest_divisor_ge2(n: int) -> Optional[int]:
-    """Smallest divisor >= 2 when it lies below the trial-division bound.
-
-    One gcd with the product of the primes below the bound finds every such
-    divisor at once.  With none there, n is prime when n < 10001^2 (every
-    odd candidate up to 9999 is ruled out) and is returned; otherwise the
-    answer is None (the pair data is then left without a preferred m; any
-    divisor works).
-    """
-    if n < 2:
-        return None
-    primes, product = _small_primes()
-    g = gcd(n, product)
-    if g > 1:
-        return next(p for p in primes if g % p == 0)
-    return n if n < (_TRIAL_DIVISION_BOUND + 1) ** 2 else None
 
 
 def correspondence_from_term(flavor: str, param: int, index: int) -> CorrespondenceRecord:
@@ -181,7 +145,7 @@ def correspondence_from_term(flavor: str, param: int, index: int) -> Corresponde
         omega = (-1) ** index
         trace = (param * param + 4) * _mul(term, term) + omega * 2
         return CorrespondenceRecord("a", param, index, term, x, sign, trace,
-                                    omega, _smallest_divisor_ge2(term))
+                                    omega, term if term > 1 else None)
     if flavor == "b":
         if param < 4:
             raise ValueError("b must be >= 4")
@@ -211,14 +175,17 @@ def correspondence_from_pell_y(flavor: str, param: int, y: int) -> Correspondenc
 
 def correspondence_from_pair(flavor: str, param: int, index: int,
                              m: Optional[int] = None) -> CorrespondenceRecord:
-    """Record for pair data (m, a, n) or (b, n); validates m when given."""
+    """Record for pair data (m, a, n) or (b, n).
+
+    Any m >= 2 that divides a_n is accepted in place of the record's own
+    m = a_n.  Such an m classifies back to index n (``classify_case_a``) only
+    when n is its rank of apparition, as it is for m = a_n.
+    """
     record = correspondence_from_term(flavor, param, index)
     if flavor == "a" and m is not None:
         if m < 2 or record.term % m != 0:
             raise ValueError(f"m={m} does not divide a_{index} = {record.term}")
-        record = CorrespondenceRecord(record.flavor, record.param, record.index,
-                                      record.term, record.x, record.pell_sign,
-                                      record.trace, record.omega_sign, m)
+        record = replace(record, m=m)
     return record
 
 
@@ -241,18 +208,13 @@ def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
     d = base.pell_d
     if base.x * base.x - d * base.term * base.term != base.pell_sign:
         raise InvariantError(f"Pell leg fails for {base}")
-    # Pair leg: trace must match the lattice action actually constructed.
-    if flavor == "a":
-        # m | a_index iff the apparition rank of m divides index (Q = -1).
-        if base.m is not None and index % classify_case_a(base.m, param).n:
-            raise InvariantError(f"apparition rank of m does not divide {index}")
-        if base.trace != (param * param + 4) * _mul(base.term, base.term) \
-                + base.omega_sign * 2:
-            raise InvariantError(f"pair-leg trace fails for {base}")
-    else:
-        case = classify_case_b(param, index)
-        if case.action.trace != base.trace:
-            raise InvariantError(f"pair-leg trace fails for {base}")
+    # Pair leg: the pair data classifies back to this index and trace.  For
+    # m = a_n > 1 the rank of apparition is n, as gcd(a_i, a_j) = a_gcd(i, j).
+    if flavor == "b" or base.m is not None:
+        case = (classify_case_a(base.m, param) if flavor == "a"
+                else classify_case_b(param, index))
+        if case.n != index or case.action.trace != base.trace:
+            raise InvariantError(f"pair leg fails for {base}")
     if via_pair != base:
         raise InvariantError(f"round trip diverged: {via_pair} != {base}")
     return {"record": base, "term_leg": True, "pell_leg": True, "pair_leg": True}

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pellucas import intersection, k3, lattice, pell
+from pellucas import intersection, k3, lattice, oracle, pell
 from pellucas.cli import _int_to_str, _parse_int, main
 from pellucas.errors import InvariantError
 from pellucas.lucas import LucasParams, gen_fib_a, lucas_uv
@@ -335,6 +335,8 @@ def test_verify_agreement_for_each_subcommand(capsys):
     for argv in (["lucas", "--p", "2", "--q", "-1", "--n", "30"],
                  ["pell", "--d", "13", "--count", "3"],
                  ["pell", "--d", "21", "--sign=-4"],
+                 ["pell", "--d", "9"],
+                 ["pell", "--d", "10000019"],
                  ["member", "--value", "29", "--a", "2"],
                  ["lattice", "--a", "1", "--b", "5", "--c", "1"],
                  ["k3", "--b", "5", "--n", "2"],
@@ -343,6 +345,18 @@ def test_verify_agreement_for_each_subcommand(capsys):
         code, doc, err = run_json(capsys, *argv, "--verify")
         assert code == 0, (argv, err)
         assert doc["verify"]["agrees"] is True, argv
+
+
+def test_pell_verify_searches_up_to_the_int64_edge(capsys):
+    # d*v^2 + 4 leaves int64 below the default bound of 10^6 here, so the
+    # search stops at the largest v that the oracle's guard accepts.
+    code, doc, err = run_json(capsys, "pell", "--d", "10000019", "--verify")
+    assert code == 0, err
+    bound = int(doc["verify"]["bound"])
+    assert 0 < bound < 10 ** 6
+    oracle.square_rows(10000019, 4, 0, bound)  # accepted: no ValueError
+    with pytest.raises(ValueError, match="int64"):
+        oracle.square_rows(10000019, 4, 0, bound + 1)
 
 
 def test_lattice_verify_certifies_root_outside_box(capsys):

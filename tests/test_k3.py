@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from pellucas import k3
 from pellucas.errors import InvariantError
-from pellucas.k3 import (NotInCorrespondenceError, case_a_lattice,
+from pellucas.k3 import (K3CaseB, NotInCorrespondenceError, case_a_lattice,
                          case_b_lattice, classify_case_a, classify_case_b,
                          correspondence_from_pair, correspondence_from_pell_y,
                          correspondence_from_term, correspondence_roundtrip,
@@ -64,6 +64,9 @@ def test_classify_case_b_examples():
     assert case.action.trace == 14
     assert case.action.g == Mat2(-1, -4, 4, 15)
     assert case.action.disc_action == "+id"
+    assert case.symplectic
+    with pytest.raises(TypeError):
+        K3CaseB(4, 1, case.action, False)  # symplectic is not a field
     assert classify_case_b(5, 2).action.trace == 527
 
 
@@ -114,14 +117,30 @@ def test_roundtrip_small_grid():
             assert correspondence_roundtrip("b", b, n)["pair_leg"]
 
 
+def test_records_classify_to_their_own_index_and_trace():
+    # m = a_n: its pair (m, a) is the automorphism (AB)^n the record describes.
+    # A smaller divisor need not be: at (a, n) = (1, 6), m = 2 has rank 3.
+    with_m = 0
+    for a in range(1, 8):
+        for n in range(2, 16):
+            rec = correspondence_from_term("a", a, n)
+            if rec.m is None:
+                assert rec.term == 1
+                continue
+            case = classify_case_a(rec.m, a)
+            assert (case.n, case.action.trace) == (n, rec.trace), (a, n)
+            with_m += 1
+    assert with_m == 97
+
+
 def test_lattices():
     assert case_a_lattice(2, 1).gram == Mat2(4, 2, 2, -4)
     assert case_b_lattice(5).gram == Mat2(2, 5, 5, 2)
 
 
 def test_roundtrip_pair_leg_checks_the_apparition_rank(monkeypatch):
-    # a_12 = 144 for a = 1, so m = 2, whose apparition rank 3 divides 12.
-    assert correspondence_roundtrip("a", 1, 12)["record"].m == 2
+    # a_12 = 144 for a = 1 is the record's m, whose apparition rank is 12.
+    assert correspondence_roundtrip("a", 1, 12)["record"].m == 144
     monkeypatch.setattr(k3, "rank_of_apparition", lambda m, a: 5)
     with pytest.raises(InvariantError):
         correspondence_roundtrip("a", 1, 12)
@@ -140,28 +159,6 @@ def test_case_a_action_matches_repeated_multiplication(m, a):
     case = classify_case_a(m, a)
     assume(case.n <= 300)
     assert case.action.g == naive_matrix_power(m_matrix(a), 2 * case.n)
-
-
-def _trial_division(n):
-    # The odd candidates 3, 5, ..., 9999, stopping past sqrt(n).
-    if n % 2 == 0:
-        return 2
-    i = 3
-    while i * i <= n and i <= 10 ** 4:
-        if n % i == 0:
-            return i
-        i += 2
-    return n if i * i > n else None
-
-
-def test_smallest_divisor_matches_trial_division():
-    edge = 10001 ** 2
-    cases = list(range(2, 3000)) + list(range(edge - 3000, edge + 3000))
-    cases += [10007 ** 2, 10007 ** 2 - 1, 10007 ** 2 + 1, 9973 * 10007,
-              10007 * 10009, 9973 ** 2, 2 ** 61 - 1, 3 ** 80]
-    for n in cases:
-        assert k3._smallest_divisor_ge2(n) == _trial_division(n), n
-    assert k3._smallest_divisor_ge2(1) is None
 
 
 def test_roundtrip_from_the_ambiguous_start_is_rejected():
