@@ -35,7 +35,6 @@ import os
 import re
 import sys
 import time
-import warnings
 from itertools import islice
 
 from . import __version__
@@ -197,30 +196,31 @@ class Record:
         return EXIT_OK
 
 
+def _leg(args):
+    """The Lucas leg (p, q) of --a, (a, -1), or of --b, (b, 1)."""
+    from .lucas import LucasParams
+    return LucasParams(args.a, -1) if args.a is not None else LucasParams(args.b, 1)
+
+
 def cmd_lucas(args, rec: Record) -> int:
     from . import lucas
     indices = [args.n] if args.range is None else args.range
-    if args.a is not None:
-        rec.result["terms"] = got = [lucas.gen_fib_a(args.a, n) for n in indices]
-        params = lucas.LucasParams(args.a, -1)
-    elif args.b is not None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rec.result["terms"] = got = [lucas.gen_fib_b(args.b, n)
-                                         for n in indices]
-        if args.b < 4:
-            rec.result["degenerate_warning"] = "b < 4"
-        params = lucas.LucasParams(args.b, 1)
-    else:
-        params = lucas.LucasParams(args.p, args.q)
-        terms = [lucas.lucas_uv(params, n) for n in indices]
-        rec.result["u"] = got = [t.u for t in terms]
+    if args.a is not None and args.a < 1:
+        raise ValueError("a must be >= 1")
+    params = _leg(args) if args.p is None else lucas.LucasParams(args.p, args.q)
+    terms = [lucas.lucas_uv(params, n) for n in indices]
+    rec.result["terms" if args.p is None else "u"] = got = [t.u for t in terms]
+    if args.p is not None:
         rec.result["v"] = [t.v for t in terms]
         rec.result["discriminant"] = params.discriminant
+    elif args.b is not None and args.b < 4:
+        rec.result["degenerate_warning"] = "b < 4"
     if args.verify:
+        # U_n is the top-right entry of [[0, 1], [-q, p]]^n.
         from . import oracle
-        expect = [oracle.naive_lucas(params, n).u for n in indices]
-        rec.verify = {"oracle": "naive_lucas", "agrees": got == expect,
+        step = lucas.Mat2(0, 1, -params.q, params.p)
+        expect = [oracle.matrix_power(step, n).e01 for n in indices]
+        rec.verify = {"oracle": "matrix_power", "agrees": got == expect,
                       "expected": expect}
     return EXIT_OK
 
@@ -262,12 +262,8 @@ def cmd_pell(args, rec: Record) -> int:
 
 def cmd_member(args, rec: Record) -> int:
     from . import pell
-    if args.a is not None:
-        verdict = pell.is_gen_fib_a(args.value, args.a)
-        flavor, param = "a", args.a
-    else:
-        verdict = pell.is_gen_fib_b(args.value, args.b)
-        flavor, param = "b", args.b
+    params = _leg(args)
+    verdict = pell._is_member(params.p, params.q, args.value)
     rec.result["is_member"] = verdict.is_member
     if verdict.is_member:
         rec.result["index"] = verdict.index
@@ -275,7 +271,7 @@ def cmd_member(args, rec: Record) -> int:
         rec.result["square_witness"] = verdict.square_witness
     if args.verify:
         from . import oracle
-        expect = oracle.naive_membership(args.value, flavor, param)
+        expect = oracle.naive_membership(args.value, params)
         agrees = (expect.is_member == verdict.is_member
                   and (not expect.is_member or expect.index == verdict.index))
         rec.verify = {"oracle": "naive_membership", "agrees": agrees,
@@ -328,29 +324,28 @@ def cmd_lattice(args, rec: Record) -> int:
 def cmd_k3(args, rec: Record) -> int:
     from . import k3
     if args.b is not None:
-        case = k3.classify_case_b(args.b, args.n)
-        rec.result["lattice"] = k3.case_b_lattice(args.b).gram.rows()
-        rec.result["n"] = case.n
-        rec.result["symplectic"] = True
-        action = case.action
+        case, lattice = (k3.classify_case_b(args.b, args.n),
+                         k3.case_b_lattice(args.b))
     else:
-        case = k3.classify_case_a(args.m, args.a)
-        rec.result["lattice"] = k3.case_a_lattice(args.m, args.a).gram.rows()
-        rec.result["n"] = case.n
-        rec.result["symplectic"] = case.symplectic
+        case, lattice = (k3.classify_case_a(args.m, args.a),
+                         k3.case_a_lattice(args.m, args.a))
+    action = case.action
+    rec.result["lattice"] = lattice.gram.rows()
+    rec.result["n"] = case.n
+    rec.result["symplectic"] = case.symplectic
+    if args.b is None:
         rec.result["omega_sign"] = case.omega_sign
-        action = case.action
     rec.result["action"] = action.g.rows()
     rec.result["trace"] = action.trace
     rec.result["det"] = action.det
     rec.result["disc_action"] = action.disc_action
     if args.verify:
-        # The action recomputed as M_a^(2n) or (C^T)^(2n) by repeated
-        # multiplication; its matrix and its trace must both agree.
+        # The action recomputed as M_a^(2n) or (C^T)^(2n) by square and
+        # multiply; its matrix and its trace must both agree.
         from . import lucas, oracle
         step = (lucas.n_matrix(args.b).transpose if args.b is not None
                 else lucas.m_matrix(args.a))
-        expect = oracle.naive_matrix_power(step, 2 * case.n)
+        expect = oracle.matrix_power(step, 2 * case.n)
         rec.verify = {"oracle": "matrix_trace",
                       "agrees": (expect == action.g
                                  and expect.trace == action.trace),

@@ -3,7 +3,8 @@ y-solutions, and lattice actions of infinite-order K3 automorphisms.
 
 A "pair (surface, automorphism)" is represented purely by its arithmetic
 shadow: the lattice, the 2x2 action matrix, its trace, and the sign of the
-action on the 2-form.  No geometry is materialized.
+action on the 2-form.  No geometry is materialized.  Flavors "a" and "b"
+are the Lucas legs (a, -1) and (b, 1), with V_n^2 - D U_n^2 = 4 q^n.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from typing import Optional
 
 from .errors import InvariantError, SearchCapExceeded
 from .lattice import IsometryAction, Lattice2, isometry_action, make_lattice
-from .lucas import (LucasParams, _mul, companion_power, gen_fib_a, gen_fib_b,
-                    lucas_uv)
-from .pell import is_gen_fib_a, is_gen_fib_b
+from .lucas import LucasParams, _companion_power, _mul, lucas_uv
+from .pell import _is_member
+
+# Flavor -> (q, least param) of its leg: a_n = U_n(a, -1), b_n = U_n(b, 1).
+_LEGS = {"a": (-1, 1), "b": (1, 4)}
 
 
 class NotInCorrespondenceError(ValueError):
@@ -72,25 +75,33 @@ class K3CaseB:
         return True
 
 
+def _case_action(lattice: Lattice2, params: LucasParams, n: int,
+                 label: str, key: tuple) -> IsometryAction:
+    """Action on `lattice` of the leg's companion power at 2n, transposed for
+    q = +1, checked against its trace D U_n^2 + 2 q^n (= V_{2n})."""
+    g = _companion_power(params, 2 * n)
+    action = isometry_action(lattice, g if params.q == -1 else g.transpose)
+    t = lucas_uv(params, n).u
+    if action.trace != params.discriminant * _mul(t, t) + 2 * params.q ** n:
+        raise InvariantError(f"trace formula fails for {label} = {key}")
+    return action
+
+
 def classify_case_a(m: int, a: int) -> K3CaseA:
     """Automorphism action on the lattice m*[[2,a],[a,-2]].
 
     n is the smallest index with m | a_n; the action is (AB)^n = M_a^{2n},
-    symplectic for even n and anti-symplectic for odd n, with
-    trace = (a^2+4) a_n^2 + (-1)^n 2.  A = [[1,0],[a,-1]] and
-    B = [[1,a],[0,-1]] are involutions with AB = M_a^2 for every a.
+    symplectic for even n and anti-symplectic for odd n.  A = [[1,0],[a,-1]]
+    and B = [[1,a],[0,-1]] are involutions with AB = M_a^2 for every a.
     """
     n = rank_of_apparition(m, a)
-    g = companion_power("M", a, 2 * n)
-    action = isometry_action(case_a_lattice(m, a), g)
-    t = gen_fib_a(a, n)
-    if action.trace != (a * a + 4) * _mul(t, t) + (-1) ** n * 2:
-        raise InvariantError(f"trace formula fails for (m, a, n) = {(m, a, n)}")
+    action = _case_action(case_a_lattice(m, a), LucasParams(a, -1), n,
+                          "(m, a, n)", (m, a, n))
     return K3CaseA(m, a, n, action, (-1) ** n)
 
 
 def classify_case_b(b: int, n: int) -> K3CaseB:
-    """Symplectic automorphism action C^{2n} on [[2,b],[b,2]], b >= 4.
+    """Symplectic action C^{2n} on [[2,b],[b,2]], b >= 4, C = [[0,-1],[1,b]].
 
     For b = 3 the lattice contains a (-2)-element and the automorphism
     group is finite, so b < 4 is rejected.
@@ -101,11 +112,8 @@ def classify_case_b(b: int, n: int) -> K3CaseB:
             "(or is not hyperbolic), so no infinite-order automorphism exists")
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = companion_power("N", b, 2 * n).transpose  # C = N_b^T = [[0,-1],[1,b]]
-    action = isometry_action(case_b_lattice(b), g)
-    t = gen_fib_b(b, n)
-    if action.trace != (b * b - 4) * _mul(t, t) + 2:
-        raise InvariantError(f"trace formula fails for (b, n) = {(b, n)}")
+    action = _case_action(case_b_lattice(b), LucasParams(b, 1), n, "(b, n)",
+                          (b, n))
     if action.disc_action != "+id":
         raise InvariantError(f"C^(2n) acts as {action.disc_action} for b={b}")
     return K3CaseB(b, n, action)
@@ -128,32 +136,31 @@ class CorrespondenceRecord:
 
     @property
     def pell_d(self) -> int:
-        p = self.param
-        return p * p + 4 if self.flavor == "a" else p * p - 4
+        return self.param * self.param - 4 * _LEGS[self.flavor][0]
+
+
+def _leg(flavor: str) -> tuple[int, int]:
+    """(q, least param) of `flavor`, or ValueError."""
+    if flavor not in _LEGS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    return _LEGS[flavor]
 
 
 def correspondence_from_term(flavor: str, param: int, index: int) -> CorrespondenceRecord:
-    """Record for the sequence term at `index` (index >= 1)."""
+    """Record for the term at `index` >= 1: (x, y) = (V_n, U_n), sign 4 q^n,
+    omega q^n, trace D U_n^2 + 2 q^n, and for flavor a, m = a_n."""
     if index < 1:
         raise ValueError("index must be >= 1")
-    if flavor == "a":
-        if param < 1:
-            raise ValueError("a must be >= 1")
-        seq = lucas_uv(LucasParams(param, -1), index)
-        term, x = seq.u, seq.v
-        sign = 4 * (-1) ** index
-        omega = (-1) ** index
-        trace = (param * param + 4) * _mul(term, term) + omega * 2
-        return CorrespondenceRecord("a", param, index, term, x, sign, trace,
-                                    omega, term if term > 1 else None)
-    if flavor == "b":
-        if param < 4:
-            raise ValueError("b must be >= 4")
-        seq = lucas_uv(LucasParams(param, 1), index)
-        term, x = seq.u, seq.v
-        trace = (param * param - 4) * _mul(term, term) + 2
-        return CorrespondenceRecord("b", param, index, term, x, 4, trace, 1)
-    raise ValueError(f"unknown flavor {flavor!r}")
+    q, least = _leg(flavor)
+    if param < least:
+        raise ValueError(f"{flavor} must be >= {least}")
+    params = LucasParams(param, q)
+    seq = lucas_uv(params, index)
+    term, qn = seq.u, q ** index
+    trace = params.discriminant * _mul(term, term) + 2 * qn
+    return CorrespondenceRecord(flavor, param, index, term, seq.v, 4 * qn,
+                                trace, qn,
+                                term if flavor == "a" and term > 1 else None)
 
 
 def correspondence_from_pell_y(flavor: str, param: int, y: int) -> CorrespondenceRecord:
@@ -163,7 +170,7 @@ def correspondence_from_pell_y(flavor: str, param: int, y: int) -> Correspondenc
     """
     if y < 1:
         raise ValueError("y must be >= 1")
-    verdict = is_gen_fib_a(y, param) if flavor == "a" else is_gen_fib_b(y, param)
+    verdict = _is_member(param, _leg(flavor)[0], y)
     if not verdict.is_member:
         raise NotInCorrespondenceError(
             f"{y} is not a y-solution for flavor {flavor!r}, param {param}")

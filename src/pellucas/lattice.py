@@ -84,6 +84,7 @@ def isometry_det(lattice: Lattice2, g: Mat2) -> Optional[int]:
     e Q g = adj(g)^T Q: four identities whose only full-size products are
     the two inside the determinant, which go to the FFT kernel once both
     factors of either have _FFT_LO bits.  Nothing here needs Q invertible.
+    They are homogeneous in (a, b, c), so k*L is tested as L, k the content.
     """
     p, q, r, s = g.e00, g.e01, g.e10, g.e11
     if s.bit_length() < _FFT_LO and q.bit_length() < _FFT_LO:
@@ -92,7 +93,8 @@ def isometry_det(lattice: Lattice2, g: Mat2) -> Optional[int]:
         e = _mul(p, s) - _mul(q, r)
     if e != 1 and e != -1:
         return None
-    a2, b, c2 = 2 * lattice.a, lattice.b, 2 * lattice.c
+    k = lattice.k or 1  # 0 only for the zero form
+    a2, b, c2 = 2 * lattice.a // k, lattice.b // k, 2 * lattice.c // k
     if (e * (a2 * p + b * r) == a2 * s - b * r
             and e * (a2 * q + b * s) == b * s - c2 * r
             and e * (b * p + c2 * r) == b * p - a2 * q

@@ -370,21 +370,19 @@ def n_matrix(b: int) -> Mat2:
 
 
 def companion_power(kind: str, value: int, n: int) -> Mat2:
-    """n-th power of M_a or N_b, read off one lucas_uv call.
+    """n-th power of M_a (kind "M", leg (a, -1)) or N_b ("N", leg (b, 1))."""
+    if kind not in ("M", "N"):
+        raise ValueError(f"unknown companion kind {kind!r}")
+    return _companion_power(LucasParams(value, -1 if kind == "M" else 1), n)
 
-    kind "M": returns [[a_{n-1}, a_n], [a_n, a_{n+1}]], a_k = U_k(a, -1).
-    kind "N": returns [[-b_{n-1}, b_n], [-b_n, b_{n+1}]], b_k = U_k(b, 1).
 
-    With (U_n, V_n) = lucas_uv((p, q), n): U_{n+1} = (p U_n + V_n)/2 and
-    U_{n-1} = (p U_n - V_n)/(2q); both numerators are even because
-    V_n = p U_n (mod 2).  So either power is
-    [[(V_n - p U_n)/2, U_n], [-q U_n, (V_n + p U_n)/2]].
+def _companion_power(params: LucasParams, n: int) -> Mat2:
+    """n-th power [[-q U_{n-1}, U_n], [-q U_n, U_{n+1}]] of [[0, 1], [-q, p]],
+    q = +-1, from one lucas_uv call: U_{n+1} = (p U_n + V_n)/2 and
+    U_{n-1} = (p U_n - V_n)/(2q), both numerators even as V_n = p U_n mod 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if kind not in ("M", "N"):
-        raise ValueError(f"unknown companion kind {kind!r}")
-    q = -1 if kind == "M" else 1
-    t = lucas_uv(LucasParams(value, q), n)
-    pu = value * t.u
-    return Mat2((t.v - pu) // 2, t.u, -q * t.u, (t.v + pu) // 2)
+    t = lucas_uv(params, n)
+    pu = params.p * t.u
+    return Mat2((t.v - pu) // 2, t.u, -params.q * t.u, (t.v + pu) // 2)

@@ -1,17 +1,17 @@
 """Naive reference implementations, kept independent of the fast paths.
 
 These exist so property tests and the CLI --verify flag can cross-check
-results by direct enumeration.  They share no code with the modules they
-validate.  The big enumerations scan only the rows a residue wheel cannot
+results by recurrence, by enumeration and by matrix_power, the one matrix
+power reference (square and multiply); they share no code with the modules
+they validate.  The big enumerations scan only the rows a residue wheel cannot
 rule out, with numpy (imported on first use), and confirm every candidate
-in exact integer arithmetic; the brute-force intersection search uses the
-same square search, given the system's second equation as a second
-residue condition and a second exact check.  That condition prunes when
-d1*d2 is not a square or the two signs differ; for a square d1*d2 and
-equal signs it is implied modulo the odd moduli prime to the second d, and
-prunes next to nothing.  Each numpy chunk is whole wheel turns (turn
-starts plus the residue list, by broadcasting) or a slice of one turn, and
-is filtered by a float square root computed in place.
+exactly; the brute-force intersection search uses the same square search,
+given the system's second equation as a second residue condition and a second
+exact check.  That condition prunes when d1*d2 is not a square or the two
+signs differ; for a square d1*d2 and equal signs it is implied modulo the odd
+moduli prime to the second d, and prunes next to nothing.  Each numpy chunk is
+whole wheel turns (turn starts plus the residue list, by broadcasting) or a
+slice of one turn, filtered by a float square root in place.
 """
 
 from __future__ import annotations
@@ -227,28 +227,22 @@ def common_from_units(system, x_bound: int) -> list[tuple[int, int, int]]:
     return [out[x] for x in sorted(out)]
 
 
-def naive_membership(value: int, flavor: str, param: int,
-                     term_bound: int = 10 ** 6) -> MembershipVerdict:
-    """Membership by generating the sequence until it passes `value`."""
+def naive_membership(value: int, params: LucasParams) -> MembershipVerdict:
+    """Membership by generating U_k = p U_{k-1} - q U_{k-2} until it passes
+    `value`; parity is reported for q = -1.  Only the increasing legs,
+    q = -1 with p >= 1 and q = +1 with p >= 2, are accepted."""
     if value < 1:
         raise ValueError("value must be >= 1")
-    if flavor == "a":
-        step = lambda prev, cur: param * cur + prev
-    elif flavor == "b":
-        step = lambda prev, cur: param * cur - prev
-    else:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    prev, cur = 0, 1
-    k = 1
-    while k <= term_bound:
-        if cur == value:
-            parity = ("even" if k % 2 == 0 else "odd") if flavor == "a" else None
-            return MembershipVerdict(True, k, parity, None)
-        if cur > value:
-            break
-        prev, cur = cur, step(prev, cur)
-        k += 1
-    return MembershipVerdict(False)
+    p, q = params.p, params.q
+    if q not in (-1, 1) or p < (1 if q == -1 else 2):
+        raise ValueError(f"U_k({p}, {q}) does not increase")
+    prev, cur, k = 0, 1, 1
+    while cur < value:
+        prev, cur, k = cur, p * cur - q * prev, k + 1
+    if cur != value:
+        return MembershipVerdict(False)
+    parity = ("even" if k % 2 == 0 else "odd") if q == -1 else None
+    return MembershipVerdict(True, k, parity, None)
 
 
 def whitney_member_mask(d: int, shift: int, bound: int) -> np.ndarray:
@@ -311,13 +305,16 @@ def _coset_action(order: int, cosets: list[tuple[int, int]], g) -> str:
     return "other"
 
 
-def naive_matrix_power(mat: Mat2, k: int) -> Mat2:
-    """mat^k (k >= 1) by k - 1 successive multiplications."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    out = mat
-    for _ in range(k - 1):
-        out = out @ mat
+def matrix_power(mat: Mat2, k: int) -> Mat2:
+    """mat^k (k >= 0) by binary square and multiply, left to right, in
+    Mat2's plain products: independent of lucas_uv and of _mul."""
+    if k < 0:
+        raise ValueError("power must be >= 0")
+    out = Mat2(1, 0, 0, 1)
+    for bit in bin(k)[2:]:
+        out = out @ out
+        if bit == "1":
+            out = out @ mat
     return out
 
 

@@ -11,7 +11,8 @@ first row of H H^T (odd period) or H [[a, 1], [1, 0]] H^T (even period, a
 the middle quotient).  The unit is checked modulo 2^61 - 1 before it is
 returned, and a failed check raises InvariantError.  Odd solutions
 (d = 5 mod 8) come out directly.  The further solutions follow the Lucas
-recurrence in the trace of the +4 unit.  Everything is integer arithmetic.
+recurrence in the trace of the +4 unit.  Membership in a Lucas leg (p, q =
++-1) reads V_k^2 - D U_k^2 = 4 q^k backwards.  All is integer arithmetic.
 
 One unit is kept: that of the last nonsquare d built, and only once it has
 passed its check.  A table asks +4, -4 and the solutions of each of one d in
@@ -270,31 +271,31 @@ def _witness_index(params: LucasParams, n: int, witness: int) -> int:
     raise InvariantError("criterion passed but value not in sequence")
 
 
-def is_gen_fib_a(n: int, a: int) -> MembershipVerdict:
-    """Membership of n in {a_k}: (a^2+4)n^2 + 4 or - 4 must be a square.
-
-    The square root is V_k; the +4 branch corresponds to even k, the -4
-    branch to odd k.  Both succeed only for n = 1, a = 1, where the -4 branch
-    gives the smallest index, 1.
-    """
-    if n < 1 or a < 1:
-        raise ValueError("n and a must be >= 1")
-    d = a * a + 4
-    witness = isqrt_exact(d * n * n - 4)
+def _is_member(p: int, q: int, n: int) -> MembershipVerdict:
+    """Membership of n in {U_k(p, q)}, q = +-1: D n^2 + 4 q^k must be V_k^2.
+    For q = -1, -4 (odd k) is tried before +4, and parity is reported; both
+    hold only at n = p = 1, where -4 gives the smallest index, 1."""
+    if q == -1:
+        if n < 1 or p < 1:
+            raise ValueError("n and a must be >= 1")
+    elif n < 1 or p < 4:
+        raise ValueError("need n >= 1 and b >= 4")
+    dn2 = (p * p - 4 * q) * n * n
+    witness = isqrt_exact(dn2 - 4) if q == -1 else None
     if witness is None:
-        witness = isqrt_exact(d * n * n + 4)
+        witness = isqrt_exact(dn2 + 4)
         if witness is None:
             return MembershipVerdict(False)
-    index = _witness_index(LucasParams(a, -1), n, witness)
-    return MembershipVerdict(True, index, "odd" if index % 2 else "even", witness)
+    index = _witness_index(LucasParams(p, q), n, witness)
+    parity = ("odd" if index % 2 else "even") if q == -1 else None
+    return MembershipVerdict(True, index, parity, witness)
+
+
+def is_gen_fib_a(n: int, a: int) -> MembershipVerdict:
+    """Membership of n in {a_k}: _is_member of the leg (a, -1)."""
+    return _is_member(a, -1, n)
 
 
 def is_gen_fib_b(n: int, b: int) -> MembershipVerdict:
-    """Membership of n in {b_k}: (b^2-4)n^2 + 4 must be a square, V_k^2."""
-    if n < 1 or b < 4:
-        raise ValueError("need n >= 1 and b >= 4")
-    witness = isqrt_exact((b * b - 4) * n * n + 4)
-    if witness is None:
-        return MembershipVerdict(False)
-    return MembershipVerdict(True, _witness_index(LucasParams(b, 1), n, witness),
-                             None, witness)
+    """Membership of n in {b_k}: _is_member of the leg (b, 1)."""
+    return _is_member(b, 1, n)

@@ -164,7 +164,7 @@ _LUCAS_5 = ["lucas", "--p", "1", "--q", "-1", "--n", "5"]
     (["--format", "structured"], _LUCAS_5,
      lambda code, out: code == 0 and json.loads(out)["command"] == "lucas"),
     (["--verify"], _LUCAS_5,
-     lambda code, out: code == 0 and "verify: {'oracle': 'naive_lucas'" in out),
+     lambda code, out: code == 0 and "verify: {'oracle': 'matrix_power'" in out),
     (["--cap", "2"], ["intersect", "--flavor", "++", "--p1", "1", "--p2", "4"],
      lambda code, out: code == 4),
     (["--bound", "20"], ["pell", "--d", "13", "--count", "3", "--verify"],
@@ -257,9 +257,9 @@ def test_verify_ok_and_fault_injection(capsys, monkeypatch):
     assert code == 0 and doc["verify"]["agrees"] is True
 
     # A fast path with a flipped verdict must be caught by the oracle.
-    true_verdict = pell.is_gen_fib_a
-    monkeypatch.setattr(pell, "is_gen_fib_a", lambda n, a: pell.MembershipVerdict(
-        not true_verdict(n, a).is_member))
+    true_verdict = pell._is_member
+    monkeypatch.setattr(pell, "_is_member", lambda p, q, n: pell.MembershipVerdict(
+        not true_verdict(p, q, n).is_member))
     code, doc, err = run_json(capsys, "member", "--value", "8", "--a", "1",
                               "--verify")
     assert code == 1

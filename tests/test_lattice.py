@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd, isqrt
 
 import pytest
@@ -12,7 +13,7 @@ from pellucas.lucas import Mat2, is_square
 from pellucas.oracle import _coset_action, _disc_cosets, disc_action_direct
 from pellucas.pell import PellProblem, PellSolution, fundamental_solution
 
-from matpow import IDENTITY
+IDENTITY = Mat2(1, 0, 0, 1)
 
 rng = random.Random(20250823)
 
@@ -101,6 +102,27 @@ def test_disc_group_action_matches_direct_enumeration():
     lat = make_lattice(-12, -8, 12)
     assert lat.k == 4
     assert disc_group_action(lat, so_plus_generator(lat).g) == "other"
+
+
+def test_isometry_det_is_that_of_the_primitive_form():
+    # The identities are homogeneous in (a, b, c): k*L answers as L does, on
+    # +-generator and on det +-1 matrices that are isometries of some forms.
+    fixed = (Mat2(0, 1, 1, 0), Mat2(1, 0, 0, -1), Mat2(1, 1, 0, 1),
+             Mat2(2, 1, 1, 1), Mat2(0, -1, 1, 0))
+    isometries = 0
+    for a, b, c in product(range(-12, 13), repeat=3):
+        d, lat, gs = b * b - 4 * a * c, Lattice2(a, b, c), fixed
+        if d == 0 or lat.k != 1:
+            continue
+        if d > 0 and not is_square(d):
+            g = so_plus_generator(lat).g
+            gs = (g, Mat2(-1, 0, 0, -1) @ g, *fixed)
+        for g in gs:
+            want = isometry_det(lat, g)
+            isometries += want is not None
+            assert all(isometry_det(Lattice2(k * a, k * b, k * c), g) == want
+                       for k in (2, 3, 7)), (a, b, c, g)
+    assert isometries == 13172
 
 
 def test_disc_action_divisibility_matches_direct_on_every_small_matrix():

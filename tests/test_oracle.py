@@ -34,14 +34,17 @@ def test_enumerate_pell_examples():
 
 
 def test_naive_membership_examples():
-    assert naive_membership(8, "a", 1).index == 6
-    assert not naive_membership(9, "a", 1).is_member
-    assert naive_membership(1, "b", 9).index == 1
+    assert naive_membership(8, LucasParams(1, -1)).index == 6
+    assert not naive_membership(9, LucasParams(1, -1)).is_member
+    assert naive_membership(1, LucasParams(9, 1)).index == 1
     # Pell numbers (a = 2): 2, 5, 12, 29, 70 are a_2..a_6; 3 and 100 are not.
-    assert [naive_membership(n, "a", 2).index for n in (2, 5, 12, 29, 70)] \
-        == [2, 3, 4, 5, 6]
-    assert not naive_membership(3, "a", 2).is_member
-    assert not naive_membership(100, "a", 2).is_member
+    pell_numbers = LucasParams(2, -1)
+    assert [naive_membership(n, pell_numbers).index
+            for n in (2, 5, 12, 29, 70)] == [2, 3, 4, 5, 6]
+    assert not naive_membership(3, pell_numbers).is_member
+    assert not naive_membership(100, pell_numbers).is_member
+    with pytest.raises(ValueError, match="does not increase"):
+        naive_membership(5, LucasParams(1, 1))  # 1, 1, 0, -1, -1, 0, 1, ...
 
 
 def test_whitney_mask_matches_sequence():

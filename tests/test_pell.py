@@ -13,12 +13,10 @@ from pellucas import pell
 from pellucas.errors import InvariantError
 from pellucas.lucas import (LucasParams, is_square, lucas_uv, m_matrix,
                             mat2_product, n_matrix)
-from pellucas.oracle import enumerate_pell, naive_membership
+from pellucas.oracle import enumerate_pell, matrix_power, naive_membership
 from pellucas.pell import (PellProblem, PellSolution, fundamental_solution,
                            is_gen_fib_a, is_gen_fib_b, isqrt_exact,
                            solutions_iter)
-
-from matpow import mat_pow
 
 
 def _compose(d, s1, s2):
@@ -123,14 +121,34 @@ def test_membership_examples():
     assert (v.is_member, v.index, v.square_witness) == (True, 1, 7)
 
 
-@given(st.integers(1, 5000), st.integers(1, 8))
-@settings(max_examples=150)
-def test_membership_matches_naive_a(n, a):
-    fast = is_gen_fib_a(n, a)
-    slow = naive_membership(n, "a", a)
-    assert fast.is_member == slow.is_member
-    if fast.is_member and not (a == 1 and n == 1):
-        assert fast.index == slow.index
+def _leg_grid(p, q):
+    """Every n <= 10^4, and each member of {U_k(p, q)} up to 10^30 with its
+    two neighbours."""
+    prev, cur, near = 0, 1, set(range(1, 10 ** 4 + 1))
+    while cur <= 10 ** 30:
+        near |= {cur - 1, cur, cur + 1}
+        prev, cur = cur, p * cur - q * prev
+    return sorted(near - {0})
+
+
+def test_membership_matches_naive_a():
+    # Every leg (a, -1) with a <= 12.
+    for a in range(1, 13):
+        for n in _leg_grid(a, -1):
+            fast = is_gen_fib_a(n, a)
+            slow = naive_membership(n, LucasParams(a, -1))
+            assert (fast.is_member, fast.index, fast.parity) == \
+                (slow.is_member, slow.index, slow.parity), (a, n)
+
+
+def test_membership_matches_naive_b():
+    # Every leg (b, 1) with 4 <= b <= 12.
+    for b in range(4, 13):
+        for n in _leg_grid(b, 1):
+            fast = is_gen_fib_b(n, b)
+            slow = naive_membership(n, LucasParams(b, 1))
+            assert (fast.is_member, fast.index, fast.parity) == \
+                (slow.is_member, slow.index, slow.parity), (b, n)
 
 
 @given(st.integers(1, 50), st.integers(4, 50), st.integers(10 ** 3, 10 ** 5))
@@ -138,7 +156,7 @@ def test_membership_matches_naive_a(n, a):
 def test_membership_index_in_bigint_regime(a, b, k):
     # U_k is the corner and V_k the trace of the k-th companion power, by
     # Mat2 square-and-multiply: a reference independent of lucas_uv.
-    m, n = mat_pow(m_matrix(a), k), mat_pow(n_matrix(b), k)
+    m, n = matrix_power(m_matrix(a), k), matrix_power(n_matrix(b), k)
     parity = "odd" if k % 2 else "even"
     assert astuple(is_gen_fib_a(m.e01, a)) == (True, k, parity, m.trace)
     assert astuple(is_gen_fib_b(n.e01, b)) == (True, k, None, n.trace)
@@ -150,16 +168,6 @@ def test_membership_index_in_bigint_regime(a, b, k):
 def test_membership_a_equals_one_takes_the_smallest_index():
     # a_1 = a_2 = 1 for a = 1: index 1, with its witness V_1 = 1.
     assert astuple(is_gen_fib_a(1, 1)) == (True, 1, "odd", 1)
-
-
-@given(st.integers(1, 5000), st.integers(4, 12))
-@settings(max_examples=150)
-def test_membership_matches_naive_b(n, b):
-    fast = is_gen_fib_b(n, b)
-    slow = naive_membership(n, "b", b)
-    assert fast.is_member == slow.is_member
-    if fast.is_member:
-        assert fast.index == slow.index
 
 
 @given(st.integers(2, 3000))
