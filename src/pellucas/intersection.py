@@ -8,7 +8,9 @@ x = 2 (when d1*d2 is not a square), an infinite Lucas V-sequence (when it
 is), or, for the opposite-sign variant, a finite set that is only ever
 enumerated under an explicit bound.  The infinite sequence comes from the
 least (m, n) with alpha1^m = alpha2^n, a convergent of
-log alpha2 / log alpha1.
+log alpha2 / log alpha1: it is the Lucas sequence of that common unit, read
+off the two legs' m-th and n-th terms and continued by its own recurrence,
+with no square root taken.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from math import isqrt
 from typing import Iterator, Optional
 
 from .errors import InvariantError, SearchCapExceeded
-from .lucas import LucasParams, is_square, lucas_uv
-from .pell import _log_alpha, isqrt_exact
+from .lucas import LucasParams, _mul, is_square, lucas_uv
+from .pell import _log_alpha
 
 # flavor: (q1, q2, sign pairs (e1, e2) in the order searches prefer them).
 _LEGS = {
@@ -153,40 +155,6 @@ def minimal_trace_match(system: PellSystem,
     raise SearchCapExceeded(f"no trace match with {searched} for {system}")
 
 
-def common_lucas_params(system: PellSystem, m: int, n: int) -> LucasParams:
-    """Lucas parameters of the common-x sequence for the minimal pair (m, n).
-
-    Its unit is alpha1^m = alpha2^n: the coefficient is the m-th V-term of
-    leg 1 (equal to the n-th V-term of leg 2), and q is the norm q1^m.
-    """
-    leg1, leg2 = _legs(system)
-    p, p_other = lucas_uv(leg1, m).v, lucas_uv(leg2, n).v
-    if p != p_other:
-        raise InvariantError(f"the two minimal V-terms disagree: {p} != {p_other}")
-    params = LucasParams(p, leg1.q ** m)
-    if is_square(params.discriminant):
-        raise InvariantError("common discriminant unexpectedly square")
-    return params
-
-
-def _coordinate(x: int, d: int, sign: int) -> Optional[int]:
-    """The y >= 0 with x^2 - d*y^2 = sign, or None."""
-    num = x * x - sign
-    if num < 0 or num % d:
-        return None
-    return isqrt_exact(num // d)
-
-
-def _triple_for_x(system: PellSystem, x: int) -> Optional[tuple[int, int, int]]:
-    for sign1, sign2 in system.sign_pairs:
-        y = _coordinate(x, system.d1, sign1)
-        if y is not None:
-            z = _coordinate(x, system.d2, sign2)
-            if z is not None:
-                return x, y, z
-    return None
-
-
 def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
               x_bound: Optional[int] = None) -> IntersectionResult:
     """Decide the system and enumerate its first `count` solutions.
@@ -194,6 +162,13 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     The opposite_signs flavor is enumeration-only and demands an explicit
     x_bound; its output carries no completeness claim beyond that bound.
     Every other flavor is decided in full and rejects an x_bound.
+
+    An infinite family is the Lucas sequence (P, Q) of the common unit
+    alpha1^m = alpha2^n = (P + U_m sqrt(d1))/2 = (P + U_n sqrt(d2))/2, with
+    P = V_m of leg 1 and Q = q1^m: its k-th solution is (V_k, U_m U_k,
+    U_n U_k) of (P, Q), and every coordinate follows w_{k+1} = P w_k -
+    Q w_{k-1}.  Each triple is checked exactly against both equations with
+    right-hand side 4 Q^k.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -207,14 +182,24 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     if not square_product_test(system):
         return IntersectionResult("trivial_only", solutions=[(2, 0, 0)])
     m, n = minimal_trace_match(system, cap=cap)
-    params = common_lucas_params(system, m, n)
-    solutions = []
-    for k in range(count):
-        x = lucas_uv(params, k).v
-        triple = _triple_for_x(system, x)
-        if triple is None:
+    leg1, leg2 = _legs(system)
+    t1, t2 = lucas_uv(leg1, m), lucas_uv(leg2, n)
+    if t1.v != t2.v:
+        raise InvariantError(f"the two minimal V-terms disagree: {t1.v} != {t2.v}")
+    params = LucasParams(t1.v, leg1.q ** m)
+    if is_square(params.discriminant):
+        raise InvariantError("common discriminant unexpectedly square")
+    p, q, d1, d2 = params.p, params.q, system.d1, system.d2
+    prev, cur = (2, 0, 0), (p, t1.u, t2.u)
+    solutions, sign = [], 4
+    for _ in range(count):
+        x, y, z = prev
+        xx = _mul(x, x)
+        if xx - d1 * _mul(y, y) != sign or xx - d2 * _mul(z, z) != sign:
             raise InvariantError(f"x={x} failed exact substitution")
-        solutions.append(triple)
+        solutions.append(prev)
+        prev, cur = cur, tuple(p * c - q * b for b, c in zip(prev, cur))
+        sign *= q
     return IntersectionResult("infinite_family", (m, n), params, solutions)
 
 

@@ -210,7 +210,6 @@ def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
     if via_y.index != index and via_y.term == base.term:
         raise ValueError(f"the round trip from index {index} is ambiguous: "
                          f"its term is also the term at index {via_y.index}")
-    via_pair = correspondence_from_pair(flavor, param, via_y.index, m=via_y.m)
     # Pell leg: the (x, y) pair must solve the equation with the stated sign.
     d = base.pell_d
     if base.x * base.x - d * base.term * base.term != base.pell_sign:
@@ -222,6 +221,6 @@ def correspondence_roundtrip(flavor: str, param: int, index: int) -> dict:
                 else classify_case_b(param, index))
         if case.n != index or case.action.trace != base.trace:
             raise InvariantError(f"pair leg fails for {base}")
-    if via_pair != base:
-        raise InvariantError(f"round trip diverged: {via_pair} != {base}")
+    if via_y != base:
+        raise InvariantError(f"round trip diverged: {via_y} != {base}")
     return {"record": base, "term_leg": True, "pell_leg": True, "pair_leg": True}

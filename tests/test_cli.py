@@ -157,6 +157,16 @@ def test_usage_errors_exit_2(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lattice", "--a", "1", "--b", "2", "--c", "1"],
+     "degenerate lattice: 4*1*1 - 2^2 = 0"),
+    (["intersect", "--flavor", "mixed", "--p1", "1", "--p2", "2"],
+     "need p2 >= 4 for mixed")], ids=["lattice", "intersect"])
+def test_invalid_input_is_one_error_line(capsys, argv, message):
+    # A ValueError from the library reaches main's one usage-error path.
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 _LUCAS_5 = ["lucas", "--p", "1", "--q", "-1", "--n", "5"]
 
 
@@ -426,12 +436,17 @@ def test_k3_verify_checks_the_matrix_not_only_its_trace(capsys, monkeypatch):
 
 def test_intersect_verify_is_independent_of_the_fast_path(capsys, monkeypatch):
     system = intersection.PellSystem("minus_minus", 4, 14)
-    want = intersection.brute_force_common(system, 200)
-    # A fast path that builds wrong triples: right x, zero coordinates.
-    monkeypatch.setattr(intersection, "_triple_for_x", lambda system, x: (x, 0, 0))
-    assert intersection.brute_force_common(system, 200) == want
+    want = intersection.brute_force_common(system, 37634)
+    assert [t[0] for t in want] == [2, 14, 194, 2702, 37634]
+    # A fast path that starts from a non-minimal pair (2m, 2n): every triple
+    # it lists solves the system, but it skips 14 and 2702.
+    true_match = intersection.minimal_trace_match
+    monkeypatch.setattr(intersection, "minimal_trace_match",
+                        lambda system, cap: tuple(2 * v for v in true_match(system, cap)))
+    assert intersection.brute_force_common(system, 37634) == want
     code, doc, err = run_json(capsys, "intersect", "--flavor", "mm", "--p1", "4",
                               "--p2", "14", "--count", "3", "--verify")
+    assert [t[0] for t in doc["result"]["solutions"]] == ["2", "194", "37634"]
     assert code == 1 and doc["verify"]["agrees"] is False
     assert doc["verify"]["expected"] == [[str(v) for v in t] for t in want]
     assert "DISAGREEMENT" in err

@@ -1,15 +1,15 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
-from math import pi
+from math import isqrt, pi
 
 import pytest
 
 from pellucas import intersection
+from pellucas.errors import InvariantError
 from pellucas.intersection import (DEFAULT_CAP, PellSystem, SearchCapExceeded,
-                                   _convergents, _triple_for_x,
-                                   brute_force_common, common_lucas_params,
-                                   intersect, minimal_trace_match,
-                                   square_product_test)
+                                   _convergents, brute_force_common, intersect,
+                                   minimal_trace_match, square_product_test)
 from pellucas.lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
 from pellucas.oracle import common_from_units
 
@@ -69,9 +69,27 @@ def test_brute_force_examples():
         [(2, 0, 0), (14, 4, 1), (194, 56, 14)]
 
 
+def _coordinate(x, d, sign):
+    """The y >= 0 with x^2 - d*y^2 = sign, or None."""
+    num = x * x - sign
+    if num < 0 or num % d:
+        return None
+    y = isqrt(num // d)
+    return y if y * y == num // d else None
+
+
+def _substitute(system, x):
+    """(x, y, z) for the first sign pairing that x solves, or None."""
+    for sign1, sign2 in system.sign_pairs:
+        y, z = _coordinate(x, system.d1, sign1), _coordinate(x, system.d2, sign2)
+        if y is not None and z is not None:
+            return x, y, z
+    return None
+
+
 def _walk(system, x_bound):
     """Reference: every x in [2, x_bound] substituted into both equations."""
-    triples = (_triple_for_x(system, x) for x in range(2, x_bound + 1))
+    triples = (_substitute(system, x) for x in range(2, x_bound + 1))
     return [t for t in triples if t is not None]
 
 
@@ -133,7 +151,7 @@ def test_lucas_closure_of_emitted_x():
 def test_common_params_cross_flavor_identity():
     system = PellSystem("minus_minus", 4, 14)
     m, n = minimal_trace_match(system)
-    params = common_lucas_params(system, m, n)
+    params = intersect(system, 1).common_params
     assert params.p == lucas_uv(LucasParams(4, 1), m).v
     assert params.p == lucas_uv(LucasParams(14, 1), n).v
 
@@ -270,6 +288,54 @@ def test_minimal_trace_match_matches_recomputed_weights():
     # p2 = V_1001(2, -1) against the reference's own walk.
     system = _towers()[2][0]
     assert _trace_match_reference(system, cap=1001) == (1001, 1)
+
+
+def test_family_equals_the_unit_oracle():
+    # The family is read off the two legs' terms; the oracle intersects the
+    # powers of each equation's own fundamental solution, with no square
+    # search.  Every square system with p1, p2 <= 40, in both orders.
+    bound = 10 ** 15
+    systems = _square_systems(40)
+    assert len(systems) == 40
+    for system in systems:
+        solutions = intersect(system, 80).solutions
+        assert solutions[-1][0] > bound, system
+        got = [s for s in solutions if s[0] <= bound]
+        assert got == common_from_units(system, bound), system
+
+
+def test_family_takes_no_lucas_uv_call_per_term(monkeypatch):
+    # The legs' terms are computed once; every triple after them comes from
+    # the common recurrence.
+    calls = []
+
+    def spy(params, n):
+        calls.append((params, n))
+        return lucas_uv(params, n)
+
+    monkeypatch.setattr(intersection, "lucas_uv", spy)
+    made = []
+    for count in (5, 500):
+        calls.clear()
+        intersect(PellSystem("plus_plus", 4, 11), count)
+        made.append(len(calls))
+    assert made[0] == made[1]
+
+
+def test_a_wrong_leg_term_fails_exact_substitution(monkeypatch):
+    # A leg U-term off by one leaves every x right and every y wrong; the
+    # check of each triple raises instead of listing it.
+    system = PellSystem("plus_plus", 1, 4)
+    monkeypatch.setattr(intersection, "minimal_trace_match",
+                        lambda system, cap: (3, 1))
+
+    def off_by_one(params, n):
+        term = lucas_uv(params, n)
+        return replace(term, u=term.u + 1)
+
+    monkeypatch.setattr(intersection, "lucas_uv", off_by_one)
+    with pytest.raises(InvariantError, match="x=4 failed exact substitution"):
+        intersect(system, 2)
 
 
 def test_convergents_are_exact():
