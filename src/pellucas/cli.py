@@ -13,10 +13,10 @@ version}; every integer is serialized as a decimal string because results
 outgrow 64 bits quickly.
 
 Each subcommand imports the modules it runs (the oracle only under
---verify and for the opposite_signs square search), so parsing the command
-line loads no math module.  A call whose argv[0] names a subcommand builds
-that subcommand's parser alone; anything else goes to build_parser(), the
-parser of all six.  A flag that the call would leave unread is a usage error.
+--verify), so parsing the command line loads no math module.  A call whose
+argv[0] names a subcommand builds that subcommand's parser alone; anything
+else goes to build_parser(), the parser of all six.  A flag that the call
+would leave unread is a usage error.  A --verify search reports its bound.
 
 Integers of any size cross the boundary both ways: _int_to_str and
 _parse_int convert past the interpreter's int/str digit limit without
@@ -237,15 +237,11 @@ def cmd_pell(args, rec: Record) -> int:
         sols = list(islice(pell._solutions_from(problem, fund), args.count))
         rec.result["solutions"] = [{"u": s.u, "v": s.v} for s in sols]
     if args.verify:
-        from math import isqrt
         from . import oracle
-        # An unsolvable equation is searched up to --bound for a solution.
-        bound = min(max((s.v for s in sols), default=args.bound), args.bound)
-        # No further than the largest v that the oracle's int64 guard takes:
-        # it needs d*v^2 + max(sign, 0) < isqrt(INT64_MAX)^2.
-        root = isqrt(oracle.INT64_MAX)
-        bound = min(bound, isqrt((root * root - 1 - max(args.sign, 0))
-                                 // args.d))
+        # An unsolvable equation is searched up to --bound for a solution, and
+        # no search goes past the largest v that the oracle takes.
+        bound = min(max((s.v for s in sols), default=args.bound), args.bound,
+                    oracle._row_edge(args.d, args.sign))
         expect = [(s.u, s.v) for s in
                   oracle.enumerate_pell(args.d, args.sign, bound)]
         got = [(s.u, s.v) for s in sols if s.v <= bound]
@@ -363,18 +359,17 @@ def cmd_intersect(args, rec: Record) -> int:
                                        "q": result.common_params.q}
     rec.result["solutions"] = [list(t) for t in result.solutions]
     if args.verify:
+        from math import isqrt
+        from . import oracle
+        # brute_force_common scans the larger d with +4, the sign of the lowest
+        # row edge, among its signs: it takes every x^2 + 4 < d*(edge + 1)^2.
+        d = max(system.d1, system.d2)
+        edge = oracle._row_edge(d, 4)
         top = max((s[0] for s in result.solutions), default=2)
-        bound = min(top, args.bound)
-        if flavor == "opposite_signs":
-            # The fast path of this flavor is brute_force_common itself.
-            from . import oracle
-            name, expect = "pell_units", oracle.common_from_units(system, bound)
-        else:
-            name, expect = ("brute_force_common",
-                            ix.brute_force_common(system, bound))
-        expect = [list(t) for t in expect]
+        bound = min(top, args.bound, isqrt(d * (edge + 1) ** 2 - 5))
+        expect = [list(t) for t in ix.brute_force_common(system, bound)]
         got = [list(t) for t in result.solutions if t[0] <= bound]
-        rec.verify = {"oracle": name, "agrees": got == expect,
+        rec.verify = {"oracle": "brute_force_common", "agrees": got == expect,
                       "expected": expect, "bound": bound}
     return EXIT_OK
 

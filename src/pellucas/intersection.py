@@ -10,12 +10,13 @@ enumerated under an explicit bound.  The infinite sequence comes from the
 least (m, n) with alpha1^m = alpha2^n, a convergent of
 log alpha2 / log alpha1: it is the Lucas sequence of that common unit, read
 off the two legs' m-th and n-th terms and continued by its own recurrence,
-with no square root taken.
+with no square root taken.  The finite set merges the two legs' terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -160,7 +161,7 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     """Decide the system and enumerate its first `count` solutions.
 
     The opposite_signs flavor is enumeration-only and demands an explicit
-    x_bound; its output carries no completeness claim beyond that bound.
+    x_bound >= 2; its output carries no completeness claim beyond that bound.
     Every other flavor is decided in full and rejects an x_bound.
 
     An infinite family is the Lucas sequence (P, Q) of the common unit
@@ -173,10 +174,10 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     if count < 1:
         raise ValueError("count must be >= 1")
     if system.flavor == "opposite_signs":
-        if x_bound is None:
-            raise ValueError("opposite_signs requires an explicit x_bound")
-        sols = brute_force_common(system, x_bound)
-        return IntersectionResult("finite_only", solutions=sols[:count])
+        if x_bound is None or x_bound < 2:
+            raise ValueError("opposite_signs requires an explicit x_bound >= 2")
+        sols = list(islice(_leg_walk(system, x_bound), count))
+        return IntersectionResult("finite_only", solutions=sols)
     if x_bound is not None:
         raise ValueError(f"x_bound is for opposite_signs, not {system.flavor}")
     if not square_product_test(system):
@@ -203,22 +204,54 @@ def intersect(system: PellSystem, count: int, cap: int = DEFAULT_CAP,
     return IntersectionResult("infinite_family", (m, n), params, solutions)
 
 
+def _leg_terms(leg: LucasParams, x_bound: int) -> Iterator[tuple[int, int, int]]:
+    """(x, w, e) for each solution of x^2 - d w^2 = e = +-4 with w >= 0 and
+    2 <= x <= x_bound, in nondecreasing x (V_1 = V_0 = 2 for p = 2).  (p, 1)
+    has the least w > 0, so it is the fundamental solution, and the solutions
+    are its powers: the leg's (V_k, U_k) with e = 4 q^k, k >= 0."""
+    p, q = leg.p, leg.q
+    v, u, v1, u1, e = 2, 0, p, 1, 4
+    while v <= x_bound:
+        if v >= 2:
+            yield v, u, e
+        v, u, v1, u1, e = v1, u1, p * v1 - q * v, p * u1 - q * u, e * q
+
+
+def _leg_walk(system: PellSystem, x_bound: int) -> Iterator[tuple[int, int, int]]:
+    """The solutions (x, y, z) with 2 <= x <= x_bound, in increasing x: the
+    legs' terms merged on x.  An x that solves two sign pairings takes the
+    first, in the order of ``sign_pairs``."""
+    first, second = (_leg_terms(leg, x_bound) for leg in _legs(system))
+    a, b = next(first, None), next(second, None)
+    while a and b:
+        if a[0] < b[0]:
+            a = next(first, None)
+        elif b[0] < a[0]:
+            b = next(second, None)
+        else:
+            x, ys, zs = a[0], {}, {}
+            while a and a[0] == x:
+                ys[a[2]], a = a[1], next(first, None)
+            while b and b[0] == x:
+                zs[b[2]], b = b[1], next(second, None)
+            for e1, e2 in system.sign_pairs:
+                if e1 in ys and e2 in zs:
+                    yield x, ys[e1], zs[e2]
+                    break
+
+
 def brute_force_common(system: PellSystem, x_bound: int) -> list[tuple[int, int, int]]:
     """All solutions (x, y, z) with 2 <= x <= x_bound, by direct search.
 
     Candidate x-values are the roots of the perfect squares d*w^2 + sign over
-    the full w-range of the equation with the larger d (``oracle.square_rows``).
-    The scanned w is that equation's coordinate.  For each sign pairing the
-    search is also given the other equation (d', sign'), so its residue wheel
-    keeps only the w for which x^2 - sign' can be d' times a square modulo
-    each wheel modulus, and its exact check keeps only the x that solve
-    both; the other coordinate is then the isqrt of (x^2 - sign') / d'.
-    The second condition prunes most rows when d1*d2 is not a square or the
-    signs differ (opposite_signs); a square system with equal signs scans
-    as many rows as with one equation.  Nothing is shared with the fast
-    path of ``intersect``.  An x that solves two sign pairings takes the
-    first pairing, in the order of ``sign_pairs``.  Bounds whose rows would
-    leave int64 raise ValueError before any row is scanned.
+    the full w-range of the equation with the larger d (``oracle.square_rows``),
+    given the other equation (d', sign') of each sign pairing as a second
+    residue condition and a second exact check; the scanned w is one
+    coordinate and the other is the isqrt of (x^2 - sign') / d'.  Nothing is
+    shared with ``intersect``, so this is its --verify oracle on every flavor.
+    An x that solves two sign pairings takes the first pairing, in the order
+    of ``sign_pairs``.  Bounds whose rows would leave int64 (past
+    ``oracle._row_edge``) raise ValueError before any row is scanned.
     """
     from .oracle import square_rows
     if x_bound < 2:

@@ -4,14 +4,13 @@ These exist so property tests and the CLI --verify flag can cross-check
 results by recurrence, by enumeration and by matrix_power, the one matrix
 power reference (square and multiply); they share no code with the modules
 they validate.  The big enumerations scan only the rows a residue wheel cannot
-rule out, with numpy (imported on first use), and confirm every candidate
-exactly; the brute-force intersection search uses the same square search,
-given the system's second equation as a second residue condition and a second
-exact check.  That condition prunes when d1*d2 is not a square or the two
-signs differ; for a square d1*d2 and equal signs it is implied modulo the odd
-moduli prime to the second d, and prunes next to nothing.  Each numpy chunk is
-whole wheel turns (turn starts plus the residue list, by broadcasting) or a
-slice of one turn, filtered by a float square root in place.
+rule out, with numpy (imported on first use), up to the int64 edge
+``_row_edge`` where the CLI's --verify searches stop, and confirm every
+candidate exactly; the brute-force intersection search, the intersect
+--verify oracle, uses the same square search with a second equation.  Each
+numpy chunk is whole wheel turns (turn starts plus the residue list, by
+broadcasting) or a slice of one turn, filtered by a float square root in
+place.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from typing import Iterator, Optional
 
 from .errors import InvariantError
 from .lucas import LucasParams, Mat2, SeqTerm
-from .pell import (MembershipVerdict, PellProblem, PellSolution,
-                   _solutions_from, fundamental_solution)
+from .pell import MembershipVerdict, PellSolution
 
 INT64_MAX = 2 ** 63 - 1
+_ROOT = isqrt(INT64_MAX)
 # Square sieve moduli (Cohen, GTM 138, Alg. 1.7.3), pairwise coprime.
 WHEEL_MODULI = (64, 9, 5, 7, 11, 13, 17, 19, 23)
 # Rows per numpy chunk.  Each chunk makes a few int64 temporaries of its
@@ -135,13 +134,19 @@ def square_rows(d: int, sign: int, lo: int, hi: int,
     equal to d2 times a perfect square.
 
     Wheel survivors pass a float-sqrt filter, then exact isqrt checks.
-    Raises ValueError at once when d*w^2 + sign or the square of its rounded
-    root could leave int64, where numpy would wrap silently.
+    Raises ValueError at once when hi passes ``_row_edge(d, sign)``, where
+    numpy would wrap silently.
     """
-    top = d * hi ** 2 + max(sign, 0)
-    if top > INT64_MAX or (isqrt(top) + 1) ** 2 > INT64_MAX:
+    if hi > _row_edge(d, sign):
         raise ValueError(f"d*w^2 + sign for d={d}, w <= {hi} exceeds int64")
     return _confirmed_rows(d, sign, lo, hi, other)
+
+
+def _row_edge(d: int, sign: int) -> int:
+    """The largest hi that ``square_rows(d, sign, lo, hi)`` takes: the largest
+    w with t = d*w^2 + max(sign, 0) < _ROOT^2, so that t and the square of its
+    rounded root, at most (isqrt(t) + 1)^2, both fit int64."""
+    return isqrt((_ROOT * _ROOT - 1 - max(sign, 0)) // d)
 
 
 def _confirmed_rows(d: int, sign: int, lo: int, hi: int,
@@ -191,40 +196,6 @@ def enumerate_pell(d: int, sign: int, v_bound: int) -> list[PellSolution]:
     if d <= 0:
         raise ValueError("d must be positive")
     return [PellSolution(u, v, sign) for v, u in square_rows(d, sign, 0, v_bound)]
-
-
-def _solutions_to(d: int, sign: int, x_bound: int) -> dict[int, int]:
-    """{x: y} over the solutions of x^2 - d y^2 = sign with 2 <= x <= x_bound,
-    from the powers of the fundamental solution (``pell._solutions_from``,
-    increasing in x) and, for +4, the trivial (2, 0)."""
-    found = {2: 0} if sign == 4 and x_bound >= 2 else {}
-    problem = PellProblem(d, sign)
-    fund = fundamental_solution(problem)
-    if fund is None:
-        return found
-    for s in _solutions_from(problem, fund):
-        if s.u > x_bound:
-            break
-        if s.u >= 2:
-            found[s.u] = s.v
-    return found
-
-
-def common_from_units(system, x_bound: int) -> list[tuple[int, int, int]]:
-    """All (x, y, z) with 2 <= x <= x_bound of a ``PellSystem``, from units.
-
-    For each sign pairing, the x-values of the two equations' solutions up
-    to x_bound are intersected; no square search is involved, so this
-    checks ``intersection.brute_force_common``.  As there, an x that solves
-    two sign pairings takes the first pairing, in the order of ``sign_pairs``.
-    """
-    out = {}
-    for s1, s2 in system.sign_pairs:
-        first = _solutions_to(system.d1, s1, x_bound)
-        second = _solutions_to(system.d2, s2, x_bound)
-        for x in first.keys() & second.keys():
-            out.setdefault(x, (x, first[x], second[x]))
-    return [out[x] for x in sorted(out)]
 
 
 def naive_membership(value: int, params: LucasParams) -> MembershipVerdict:

@@ -74,6 +74,10 @@ def test_pell_unsolvable_status_vs_error(capsys):
     assert code == 0 and doc["result"]["solvable"] is False
     code, _, _ = run(capsys, "pell", "--d", "7", "--sign=-4", "--require-solution")
     assert code == 3
+    # A square d other than 1 and 4 has no -4 solution.
+    code, out, _ = run(capsys, "pell", "--d", "9", "--sign=-4",
+                       "--require-solution")
+    assert code == 3 and "solvable: False" in out.splitlines()
 
 
 @pytest.mark.parametrize("sign", ["4", "-4"])  # 7 is unsolvable with -4
@@ -161,10 +165,26 @@ def test_usage_errors_exit_2(capsys):
     (["lattice", "--a", "1", "--b", "2", "--c", "1"],
      "degenerate lattice: 4*1*1 - 2^2 = 0"),
     (["intersect", "--flavor", "mixed", "--p1", "1", "--p2", "2"],
-     "need p2 >= 4 for mixed")], ids=["lattice", "intersect"])
+     "need p2 >= 4 for mixed"),
+    (["lucas", "--a", "0", "--n", "5"], "a must be >= 1"),
+    (["lucas", "--a", "1"], "lucas needs --n or --range"),
+    (["k3", "--m", "5"], "k3 needs --b or both --m and --a")],
+    ids=["lattice", "intersect", "lucas-a", "lucas-n", "k3-m-a"])
 def test_invalid_input_is_one_error_line(capsys, argv, message):
-    # A ValueError from the library reaches main's one usage-error path.
+    # A ValueError from a subcommand, or an input that _validate refuses,
+    # reaches main's one usage-error path.
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["lattice", "--a", "0", "--b", "1", "--c", "0"], "so_plus: trivial"),
+    (["lucas", "--b", "3", "--n", "5"], "degenerate_warning: b < 4")],
+    ids=["so-plus-trivial", "lucas-b-below-4"])
+def test_plain_output_names_the_edge_case(capsys, argv, line):
+    # The hyperbolic plane has only the identity in SO+, and b < 4 is not a
+    # leg (p, 1); both answers say so.
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and line in out.splitlines()
 
 
 _LUCAS_5 = ["lucas", "--p", "1", "--q", "-1", "--n", "5"]
@@ -457,16 +477,37 @@ def test_intersect_verify_is_independent_on_opposite_signs(capsys, monkeypatch):
             "--x-bound", "1000", "--verify")
     code, doc, _ = run_json(capsys, *argv)
     assert code == 0 and doc["verify"]["agrees"] is True
-    assert doc["verify"]["oracle"] == "pell_units"
+    assert doc["verify"]["oracle"] == "brute_force_common"
     assert doc["result"]["solutions"] == [["3", "1", "1"], ["11", "5", "3"]]
-    # The fast path of this flavor is the square search: drop its first triple.
-    true_search = intersection.brute_force_common
-    monkeypatch.setattr(intersection, "brute_force_common",
-                        lambda system, x_bound: true_search(system, x_bound)[1:])
+    # The fast path of this flavor is the walk of the two legs: drop its
+    # first triple.
+    true_walk = intersection._leg_walk
+    monkeypatch.setattr(intersection, "_leg_walk",
+                        lambda *args: list(true_walk(*args))[1:])
     code, doc, err = run_json(capsys, *argv)
     assert code == 1 and doc["verify"]["agrees"] is False
     assert doc["verify"]["expected"] == [["3", "1", "1"], ["11", "5", "3"]]
     assert "DISAGREEMENT" in err
+
+
+@pytest.mark.parametrize("argv, system, edge", [
+    (["--flavor", "mm", "--p1", "4", "--p2", "14", "--count", "20",
+      "--bound", "1000000000000"], ("minus_minus", 4, 14), 3037000499),
+    (["--flavor", "++", "--p1", "1", "--p2", "4", "--count", "30",
+      "--bound", "100000000000"], ("plus_plus", 1, 4), 3037000501)],
+    ids=["mm", "pp"])
+def test_intersect_verify_stops_at_the_int64_edge(capsys, argv, system, edge):
+    # Both families pass the square search's int64 edge before --bound: the
+    # search stops at the largest x it takes, isqrt(d*(W + 1)^2 - 5) for the
+    # larger d and its row edge W, and reports it.
+    code, doc, _ = run_json(capsys, "intersect", *argv, "--verify")
+    assert code == 0 and doc["verify"]["agrees"] is True
+    assert doc["verify"]["bound"] == str(edge)
+    assert int(doc["result"]["solutions"][-1][0]) > edge
+    system = intersection.PellSystem(*system)
+    assert intersection.brute_force_common(system, edge)
+    with pytest.raises(ValueError, match="int64"):
+        intersection.brute_force_common(system, edge + 1)
 
 
 def _pellucas(*argv):

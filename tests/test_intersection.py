@@ -7,11 +7,12 @@ import pytest
 
 from pellucas import intersection
 from pellucas.errors import InvariantError
-from pellucas.intersection import (DEFAULT_CAP, PellSystem, SearchCapExceeded,
-                                   _convergents, brute_force_common, intersect,
+from pellucas.intersection import (DEFAULT_CAP, IntersectionResult, PellSystem,
+                                   SearchCapExceeded, _convergents, _leg_walk,
+                                   brute_force_common, intersect,
                                    minimal_trace_match, square_product_test)
 from pellucas.lucas import LucasParams, gen_fib_a, gen_fib_b, is_square, lucas_uv
-from pellucas.oracle import common_from_units
+from pellucas.pell import PellProblem, PellSolution, fundamental_solution
 
 
 def test_square_product_examples():
@@ -104,19 +105,45 @@ def test_brute_force_paths_agree():
 
 @pytest.mark.parametrize("flavor", intersection.FLAVORS)
 def test_unit_oracle_agrees_with_brute_force(flavor):
-    # Every system with p1, p2 <= 30: the units oracle shares nothing with
-    # the square search, whose wheel sieves with both equations.  It is the
-    # --verify oracle of the opposite_signs flavor, whose fast path is
-    # brute_force_common itself; p = 2 gives d = 8 and the point x = 2.
-    for p1 in range(1, 31):
-        for p2 in range(1, 31):
+    # The walk over the powers of each leg's unit shares nothing with the
+    # square search, whose wheel sieves with both equations.  It is the fast
+    # path of the opposite_signs flavor, checked on every system with
+    # p1, p2 <= 60 in both orders up to 10^9, where intersect also returns
+    # the brute force's first `count` triples; on the other flavors it is the
+    # reference of test_family_equals_the_unit_oracle, checked here with
+    # p1, p2 <= 30.  p = 2 gives d = 8, whose leg meets x = 2 twice.
+    finite = flavor == "opposite_signs"
+    top, x_bounds = (60, (2, 3, 10, 10 ** 3, 10 ** 6, 10 ** 9)) if finite \
+        else (30, (2, 3, 10, 10 ** 3, 10 ** 6))
+    for p1 in range(1, top + 1):
+        for p2 in range(1, top + 1):
             try:
                 system = PellSystem(flavor, p1, p2)
             except ValueError:
                 continue
-            for x_bound in (2, 10, 10 ** 6):
-                assert (common_from_units(system, x_bound)
-                        == brute_force_common(system, x_bound)), system
+            for x_bound in x_bounds:
+                expect = brute_force_common(system, x_bound)
+                assert list(_leg_walk(system, x_bound)) == expect, system
+                for count in (5, 25) if finite else ():
+                    assert intersect(system, count, x_bound=x_bound) == \
+                        IntersectionResult("finite_only",
+                                           solutions=expect[:count]), system
+
+
+def test_leg_unit_is_the_fundamental_solution():
+    # The walk's premise, from the Pell solver: (p, 1) is the least solution
+    # of its leg's equation, so the leg's terms are all the solutions.
+    for p in range(1, 301):
+        d = p * p + 4  # the leg (p, -1): its unit has norm -1
+        assert fundamental_solution(PellProblem(d, -4)) == \
+            PellSolution(p, 1, -4), p
+        assert fundamental_solution(PellProblem(d, 4)) == \
+            PellSolution(p * p + 2, p, 4), p
+    for p in range(4, 301):
+        d = p * p - 4  # the leg (p, 1): its unit has norm +1
+        assert fundamental_solution(PellProblem(d, 4)) == \
+            PellSolution(p, 1, 4), p
+        assert fundamental_solution(PellProblem(d, -4)) is None, p
 
 
 def test_brute_force_huge_p_small_bound():
@@ -177,6 +204,21 @@ def test_opposite_signs_requires_bound():
     r = intersect(PellSystem("opposite_signs", 1, 3), 5, x_bound=10 ** 5)
     assert r.verdict == "finite_only"
     assert (3, 1, 1) in r.solutions
+    for x_bound in (1, 0, -5):
+        with pytest.raises(ValueError, match="x_bound >= 2"):
+            intersect(PellSystem("opposite_signs", 1, 3), 3, x_bound=x_bound)
+
+
+@pytest.mark.parametrize("p1, p2, x_bound, want", [
+    (1, 3, 10 ** 100, [(3, 1, 1), (11, 5, 3)]),
+    (2, 34, 10 ** 1000, [(2, 1, 0), (34, 12, 1)])])
+def test_opposite_signs_past_the_int64_edge(p1, p2, x_bound, want):
+    # Known finite answers, far past the square search's int64 edge
+    # (x ~ 3e9), which raises there.
+    system = PellSystem("opposite_signs", p1, p2)
+    assert intersect(system, 5, x_bound=x_bound).solutions == want
+    with pytest.raises(ValueError, match="int64"):
+        brute_force_common(system, x_bound)
 
 
 @pytest.mark.parametrize("flavor, p1, p2", [("plus_plus", 1, 4),
@@ -291,9 +333,9 @@ def test_minimal_trace_match_matches_recomputed_weights():
 
 
 def test_family_equals_the_unit_oracle():
-    # The family is read off the two legs' terms; the oracle intersects the
-    # powers of each equation's own fundamental solution, with no square
-    # search.  Every square system with p1, p2 <= 40, in both orders.
+    # The family is the Lucas sequence of the least common unit; the oracle
+    # merges the powers of each leg's own unit, with no trace match and no
+    # square search.  Every square system with p1, p2 <= 40, in both orders.
     bound = 10 ** 15
     systems = _square_systems(40)
     assert len(systems) == 40
@@ -301,7 +343,7 @@ def test_family_equals_the_unit_oracle():
         solutions = intersect(system, 80).solutions
         assert solutions[-1][0] > bound, system
         got = [s for s in solutions if s[0] <= bound]
-        assert got == common_from_units(system, bound), system
+        assert got == list(_leg_walk(system, bound)), system
 
 
 def test_family_takes_no_lucas_uv_call_per_term(monkeypatch):

@@ -7,13 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 
-from pellucas import oracle, pell
+from pellucas import oracle
 from pellucas.intersection import PellSystem, brute_force_common
 from pellucas.lattice import make_lattice
 from pellucas.lucas import LucasParams
 from pellucas.oracle import (INT64_MAX, WHEEL_CHUNK, WHEEL_MODULI,
-                             WHEEL_RESIDUE_COST, _disc_cosets, _wheel,
-                             enumerate_pell,
+                             WHEEL_RESIDUE_COST, _disc_cosets, _row_edge,
+                             _wheel, enumerate_pell,
                              first_root_in_box, naive_lucas, naive_membership,
                              square_rows, whitney_member_mask)
 
@@ -205,6 +205,28 @@ def test_int64_guard_raises_before_scanning(monkeypatch):
         whitney_member_mask(5, -4, 2 * 10 ** 9)
 
 
+@pytest.mark.parametrize("sign", [4, -4, 1, 0])
+def test_row_edge_is_the_int64_guard(sign):
+    # The edge is the last w for which d*w^2 + max(sign, 0) and the square of
+    # its rounded root both fit int64; square_rows takes it and refuses the
+    # next row.
+    def fits(d, w):
+        top = d * w * w + max(sign, 0)
+        return top <= INT64_MAX and (isqrt(top) + 1) ** 2 <= INT64_MAX
+
+    rng = random.Random(sign)
+    ds = [*range(1, 300), *(rng.randrange(1, 2 ** 64) for _ in range(300)),
+          isqrt(INT64_MAX) ** 2, 2 ** 63, 10 ** 30]
+    for d in ds:
+        edge = _row_edge(d, sign)
+        assert fits(d, edge) and not fits(d, edge + 1), d
+    for d in (1, 5, 192, 2 ** 63):
+        edge = _row_edge(d, sign)
+        square_rows(d, sign, edge, edge)
+        with pytest.raises(ValueError, match="int64"):
+            square_rows(d, sign, edge, edge + 1)
+
+
 def test_wheel_without_residues_yields_nothing():
     # 3*w^2 - 1 is 2 or 3 mod 4 and 2 or 8 mod 9: never a square mod 64.
     assert list(_wheel(3, -1, 0, 10 ** 6)) == []
@@ -370,26 +392,3 @@ def test_first_root_in_box_matches_scan():
             assert first_root_in_box(gram, bound) == want, (a, b, c, bound)
             hits += want is not None
     assert hits > 200
-
-
-def test_units_oracle_finds_each_unit_once(monkeypatch):
-    # The unit (11 + 3 sqrt(13))/2: the solutions up to 10^300 are (2, 0) and
-    # (V_k, 3 U_k) of (P, Q) = (11, 1) for k = 1..289, one walk of the
-    # continued fraction for all of them.
-    calls = []
-    found = oracle.fundamental_solution
-
-    def counted(problem):
-        calls.append(problem)
-        return found(problem)
-
-    monkeypatch.setattr(oracle, "fundamental_solution", counted)
-    monkeypatch.setattr(pell, "fundamental_solution", counted)
-    got = oracle._solutions_to(13, 4, 10 ** 300)
-    assert len(calls) == 1
-    want = {2: 0}
-    for k in range(1, 290):
-        t = naive_lucas(LucasParams(11, 1), k)
-        want[t.v] = 3 * t.u
-    assert got == want and len(got) == 290
-    assert naive_lucas(LucasParams(11, 1), 290).v > 10 ** 300

@@ -99,6 +99,12 @@ def test_a_subcommand_loads_what_it_runs():
                     "'--p1', '4', '--p2', '14'])")
     assert "pellucas.intersection" in new
     assert "pellucas.oracle" not in new
+    # Nor does an opposite_signs call: its answer is the walk of the legs.
+    new = loaded_by("import pellucas.cli\n"
+                    "pellucas.cli.main(['intersect', '--flavor', 'opp', "
+                    "'--p1', '1', '--p2', '3', '--x-bound', '1000'])")
+    assert "pellucas.intersection" in new
+    assert new & {"pellucas.oracle", "numpy"} == set()
 
 
 def test_lazy_surface_is_the_eager_one():
